@@ -62,7 +62,6 @@ from .patterns import (
     MiningConfig,
     Pattern,
     enumerate_patterns,
-    pattern_matches,
     select_dnf,
 )
 

@@ -10,11 +10,11 @@ certified).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import CountryRecord
+from .data import CountryRecord, format_value
 from .errors import ContradictionError, DataFormatError
 
 #: (record, is_positive) pairs, the unit the binarizer works on.
@@ -42,9 +42,7 @@ class Literal:
         return v >= self.threshold if self.direction == ">=" else v <= self.threshold
 
     def __str__(self) -> str:
-        from .treetext import format_number
-
-        return f"{self.indicator} {self.direction} {format_number(self.threshold)}"
+        return f"{self.indicator} {self.direction} {format_value(self.threshold)}"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ row under the unclassified policy).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .binarize import all_candidate_cutpoints, binarize, minimize_cutpoints
@@ -24,9 +24,9 @@ from .data import (
     RatingScale,
     serialize_dataset,
 )
-from .errors import DataFormatError
+from .errors import DataFormatError, LadError
 from .patterns import ClassDnf, MiningConfig, Pattern, enumerate_patterns, select_dnf
-from .treetext import parse_tree_text, render_stage, render_tree_text
+from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
 
@@ -106,7 +106,7 @@ def train_cascade(
         candidates = all_candidate_cutpoints(labeled, codes)
         try:
             cuts = minimize_cutpoints(candidates, labeled)
-        except Exception as exc:
+        except LadError as exc:
             exc.args = (f"stage {k} ({scale.classes[k - 1]}): {exc}",)
             raise
         view = binarize(labeled, cuts)

@@ -3,7 +3,9 @@
 Subcommands: train, classify, suggest, evaluate, import-tree, export-tree,
 report-keyvars. Defaults mirror the published parameterization (degree 3,
 prevalence 0.70, homogeneity 1.0). A JSON file named by $LADRATING_CONFIG
-can override the defaults; explicit flags win over both.
+can override the defaults; explicit flags win over both. A model's fallback
+policy comes from --fallback if given, else from the bundle's
+.provenance.json, else from the configured default.
 
 Exit codes: 0 ok, 2 usage, 3 parse/data error, 4 contradiction,
 5 coverage failure, 6 I/O error.
@@ -21,7 +23,6 @@ from pathlib import Path
 from . import cascade as cascade_mod
 from .cascade import (
     CascadeModel,
-    Provenance,
     export_decision_tree,
     import_decision_tree,
     key_variables,
@@ -42,7 +43,6 @@ from .errors import (
     CoverageError,
     DataFormatError,
     DecisionTreeParseError,
-    LadError,
 )
 from .evaluate import evaluate, render_report
 from .patterns import MiningConfig
@@ -61,7 +61,13 @@ def _env_defaults() -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            env = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"${CONFIG_ENV} file {path}: {exc}") from None
+    if not isinstance(env, dict):
+        raise DataFormatError(f"${CONFIG_ENV} file {path}: expected a JSON object")
+    return env
 
 
 def _scale(fallback: str) -> RatingScale:
@@ -104,15 +110,17 @@ def _write_bundle(out: Path, model: CascadeModel, fallback: str):
 def _load_model(args) -> CascadeModel:
     path = Path(args.model)
     text = path.read_text()
-    year = getattr(args, "year", 0) or 0
-    fallback = getattr(args, "fallback", FALLBACK_TO_LAST)
+    prov = {}
     sidecar = path.with_suffix("").with_suffix(".provenance.json")
     if path.name.endswith(".tree.txt") and sidecar.exists():
         prov = json.loads(sidecar.read_text())
-        year = year or prov.get("year", 0)
-        fallback = prov.get("fallback_policy", fallback)
+    fallback = (
+        getattr(args, "fallback", None)
+        or prov.get("fallback_policy")
+        or _env_defaults().get("fallback", FALLBACK_TO_LAST)
+    )
     return import_decision_tree(
-        text, _scale(fallback), year, strict=not getattr(args, "lenient", False)
+        text, _scale(fallback), prov.get("year", 0), strict=not args.lenient
     )
 
 
@@ -124,14 +132,17 @@ def _parse_country_values(spec: str) -> CountryRecord:
         if "=" not in part:
             raise DataFormatError(f"bad CODE=value pair {part!r}")
         code, raw = part.split("=", 1)
-        values[code.strip()] = float(raw)
+        try:
+            values[code.strip()] = float(raw)
+        except ValueError:
+            raise DataFormatError(f"bad CODE=value pair {part!r}") from None
     return CountryRecord("cli", 0, values)
 
 
-def _records_to_classify(args):
+def _records_to_classify(args, scale: RatingScale):
     if args.country_values:
         return [_parse_country_values(args.country_values)]
-    dataset = load_dataset(Path(args.data).read_text(), _scale(args.fallback))
+    dataset = load_dataset(Path(args.data).read_text(), scale)
     return list(dataset.records)
 
 
@@ -143,10 +154,9 @@ def cmd_train(args) -> int:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
     model = train_cascade(dataset, config, year=args.year)
     if args.require_full_coverage and any(s.uncovered for s in model.stages):
-        print("coverage failure: some stages ship partial", file=sys.stderr)
-        for note in model.notes:
-            print("  " + note, file=sys.stderr)
-        return EXIT_COVERAGE
+        raise CoverageError(
+            "some stages ship partial" + "".join("\n  " + n for n in model.notes)
+        )
     out = Path(args.out)
     _write_bundle(out, model, args.fallback)
     _write(out.with_suffix(".train.log"), "".join(n + "\n" for n in model.notes))
@@ -157,7 +167,7 @@ def cmd_train(args) -> int:
 def _classify_like(args, suggest: bool) -> int:
     model = _load_model(args)
     lines = []
-    for rec in _records_to_classify(args):
+    for rec in _records_to_classify(args, model.scale):
         if suggest:
             rating = suggest_rating(model, rec)
             kind = "suggested"
@@ -286,11 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train fraction; omit to train on all labeled records")
         p.add_argument("--seed", type=int, default=0, help="split RNG seed (default 0)")
 
-    def add_fallback_flag(p):
+    def add_fallback_flag(p, *, reads_bundle: bool):
+        # A command that reads a bundle must tell an explicit flag from a
+        # default, so that only the flag overrides the bundle's policy.
         p.add_argument("--fallback", choices=[FALLBACK_TO_LAST, UNCLASSIFIED_POLICY],
-                       default=env.get("fallback", FALLBACK_TO_LAST),
-                       help="what a record matching no stage becomes "
-                            "(default fallback-to-last)")
+                       default=None if reads_bundle else env.get("fallback", FALLBACK_TO_LAST),
+                       help="what a record matching no stage becomes (default "
+                            + ("the bundle's policy, else " if reads_bundle else "")
+                            + "fallback-to-last)")
 
     p = sub.add_parser("train", help="fit a cascade on labeled data")
     p.add_argument("--data", required=True, help="CSV of country-year rows")
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail instead of shipping partially covered stages")
     add_mining_flags(p)
     add_split_flags(p)
-    add_fallback_flag(p)
+    add_fallback_flag(p, reads_bundle=False)
     p.set_defaults(func=cmd_train)
 
     for name, func, helptext in (
@@ -311,21 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="decision-tree text file")
         p.add_argument("--data", help="CSV of records to rate")
         p.add_argument("--country-values", help='inline record, e.g. "U=80,G=60000"')
-        p.add_argument("--year", type=int, default=0)
         p.add_argument("--lenient", action="store_true",
                        help="repair known print artifacts while parsing the model")
         p.add_argument("--out", help="output path (default stdout)")
-        add_fallback_flag(p)
+        add_fallback_flag(p, reads_bundle=True)
         p.set_defaults(func=func)
 
     p = sub.add_parser("evaluate", help="score a model against labeled data")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--year", type=int, default=0)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", help="report path prefix (default stdout)")
     add_split_flags(p)
-    add_fallback_flag(p)
+    add_fallback_flag(p, reads_bundle=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("import-tree", help="parse published tree text into a bundle")
@@ -334,32 +345,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="bundle path prefix")
     p.add_argument("--lenient", action="store_true",
                    help="repair known print artifacts instead of rejecting them")
-    add_fallback_flag(p)
+    add_fallback_flag(p, reads_bundle=False)
     p.set_defaults(func=cmd_import_tree)
 
     p = sub.add_parser("export-tree", help="re-emit a model in canonical text form")
     p.add_argument("--model", required=True)
-    p.add_argument("--year", type=int, default=0)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", help="output path (default stdout)")
-    add_fallback_flag(p)
     p.set_defaults(func=cmd_export_tree)
 
     p = sub.add_parser("report-keyvars", help="indicator frequency per stage group")
     p.add_argument("--model", required=True)
-    p.add_argument("--year", type=int, default=0)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", help="output path (default stdout)")
-    add_fallback_flag(p)
     p.set_defaults(func=cmd_report_keyvars)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DecisionTreeParseError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

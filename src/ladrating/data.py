@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Iterable, Mapping, Optional
 
-from .errors import ContradictionError, DataFormatError, Diagnostic
+from .errors import DataFormatError, Diagnostic
 
 
 @dataclass(frozen=True)
@@ -208,6 +209,11 @@ def load_dataset(
     for lineno, row in enumerate(reader, start=2):
         if not any(cell.strip() for cell in row):
             continue
+        if len(row) <= max(country_col, year_col):
+            raise DataFormatError(
+                f"line {lineno}: {len(row)} cells, too short for the "
+                f"country and year columns"
+            )
         country = row[country_col].strip()
         try:
             year = int(row[year_col].strip())
@@ -245,11 +251,17 @@ def load_dataset(
             if not cell:
                 continue
             try:
-                values[code] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataFormatError(
                     f"line {lineno}: bad numeric value {cell!r} for {code}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"line {lineno}, column {i + 1} ({code}): "
+                    f"non-finite value {cell!r}"
+                )
+            values[code] = value
         records.append(CountryRecord(country, year, values, rating))
 
     return Dataset(records=tuple(records), scale=scale)
@@ -277,13 +289,12 @@ def format_value(v: float) -> str:
     return repr(v)
 
 
-def validate(dataset: Dataset, cutpoints=None) -> list[Diagnostic]:
+def validate(dataset: Dataset) -> list[Diagnostic]:
     """Structural diagnostics: duplicate keys, bad labels, contradictions.
 
     Records with identical observed values but different ratings contradict
-    every possible binarization. When `cutpoints` are supplied the check is
-    additionally run on the induced Boolean vectors (missing -> false), which
-    can merge records the raw comparison keeps apart.
+    every possible binarization. Contradictions that only a chosen cut-point
+    set creates are reported by `minimize_cutpoints` as ContradictionError.
     """
     diags: list[Diagnostic] = []
     seen: dict[tuple[str, int], CountryRecord] = {}
@@ -316,30 +327,6 @@ def validate(dataset: Dataset, cutpoints=None) -> list[Diagnostic]:
                     {"records": ids},
                 )
             )
-
-    if cutpoints:
-        by_vector: dict[tuple, list[CountryRecord]] = {}
-        for rec in labeled:
-            vec = tuple(
-                rec.values.get(cp.indicator) is not None
-                and rec.values[cp.indicator] >= cp.threshold
-                for cp in cutpoints
-            )
-            by_vector.setdefault(vec, []).append(rec)
-        already = {tuple(d.details.get("records", ())) for d in diags}
-        for group in by_vector.values():
-            ratings = {r.observed_rating for r in group}
-            if len(ratings) > 1:
-                ids = tuple(sorted(r.record_id for r in group))
-                if ids not in already:
-                    diags.append(
-                        Diagnostic(
-                            "contradiction",
-                            "identical Boolean vectors, different ratings: "
-                            + ", ".join(ids),
-                            {"records": list(ids)},
-                        )
-                    )
     return diags
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,11 +55,6 @@ class ClassDnf:
 
     def matches(self, record: CountryRecord) -> bool:
         return any(p.matches(record) for p in self.patterns)
-
-    def __str__(self) -> str:
-        if not self.patterns:
-            return "No case"
-        return ", OR ".join(str(p) for p in self.patterns)
 
 
 @dataclass(frozen=True)
@@ -156,20 +151,6 @@ def enumerate_patterns(
     return accepted
 
 
-def pattern_matches(pattern: Pattern, record: CountryRecord) -> bool:
-    """True iff every literal holds; a missing involved indicator fails."""
-    return pattern.matches(record)
-
-
-def _coverage_vector(pattern: Pattern, view: BinaryView) -> np.ndarray:
-    pool = {(lit.indicator, lit.direction, lit.threshold): vec
-            for lit, vec in _literal_pool(view)}
-    cover = np.ones(len(view.record_ids), dtype=bool)
-    for lit in pattern.literals:
-        cover &= pool[(lit.indicator, lit.direction, lit.threshold)]
-    return cover
-
-
 def select_dnf(
     patterns: Sequence[Pattern],
     view: BinaryView,
@@ -182,19 +163,32 @@ def select_dnf(
     Repeatedly takes the pattern covering the most uncovered positives
     (ties: higher homogeneity, fewer literals, then enumeration order). When
     the coverage target cannot be met, the prevalence floor is relaxed along
-    the configured schedule and the pool re-enumerated; a still-unmet target
-    yields a partial DNF with its uncovered records flagged.
+    the configured schedule and the pool re-enumerated; schedule steps at or
+    above the current floor are skipped, as they could add no coverage. A
+    still-unmet target yields a partial DNF with its uncovered records
+    flagged. Every pattern's literals must be literals of `view`.
     """
     labels = view.labels
     total_pos = view.n_positives
     target = config.dnf_coverage_target * total_pos
+    truth = dict(_literal_pool(view))
+
+    def positive_covers(pool: Sequence[Pattern]) -> list[np.ndarray]:
+        covers = []
+        for p in pool:
+            cover = labels.copy()
+            for lit in p.literals:
+                cover &= truth[lit]
+            covers.append(cover)
+        return covers
 
     pool = list(patterns)
-    covers = [_coverage_vector(p, view) & labels for p in pool]
+    covers = positive_covers(pool)
     selected: list[Pattern] = []
     selected_cover = np.zeros(len(view.record_ids), dtype=bool)
     relaxations: list[float] = []
-    schedule = list(config.relaxation_schedule)
+    floor = config.min_prevalence
+    schedule = iter(config.relaxation_schedule)
 
     while True:
         progressed = True
@@ -213,13 +207,14 @@ def select_dnf(
             else:
                 selected.append(pool[best])
                 selected_cover |= covers[best]
-        if selected_cover.sum() + _EPS >= target or not schedule:
+        if selected_cover.sum() + _EPS >= target:
             break
-        floor = schedule.pop(0)
+        floor = next((step for step in schedule if step < floor), None)
+        if floor is None:
+            break
         relaxations.append(floor)
-        relaxed = replace(config, min_prevalence=floor)
-        pool = enumerate_patterns(view, relaxed)
-        covers = [_coverage_vector(p, view) & labels for p in pool]
+        pool = enumerate_patterns(view, replace(config, min_prevalence=floor))
+        covers = positive_covers(pool)
 
     uncovered = tuple(
         view.record_ids[i]

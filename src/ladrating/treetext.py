@@ -23,18 +23,12 @@ from typing import Mapping, Optional
 from .binarize import Literal
 from .data import DEFAULT_REGISTRY, Indicator, RatingScale
 from .errors import DecisionTreeParseError
-from .patterns import ClassDnf, Pattern
+from .patterns import Pattern
 
 NO_CASE = "No case"
 
 _LITERAL_RE = re.compile(r"\s*([A-Za-z]+\d*)\s*(>=|<=)\s*([^,()]+?)\s*$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
-
-
-def format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 def _repair_number(raw: str, repairs: list[str], line: int, col: int) -> float:
@@ -167,14 +161,9 @@ def parse_tree_text(
     return stages
 
 
-def render_stage(patterns: tuple[Pattern, ...]) -> str:
-    if not patterns:
-        return NO_CASE
-    return ", OR ".join(
-        "(" + ", ".join(str(lit) for lit in p.literals) + ")" for p in patterns
-    )
-
-
 def render_tree_text(stages: Mapping[str, tuple[Pattern, ...]]) -> str:
-    lines = [f"{label}\t{render_stage(patterns)}" for label, patterns in stages.items()]
+    lines = [
+        f"{label}\t{', OR '.join(str(p) for p in patterns) or NO_CASE}"
+        for label, patterns in stages.items()
+    ]
     return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ from ladrating import (
     export_decision_tree,
     import_decision_tree,
     minimize_cutpoints,
-    pattern_matches,
     repeat_offenders,
     report_from_pairs,
     split_dataset,
@@ -58,7 +57,7 @@ def test_criterion_1_published_tree_execution():
     assert classify(model, NOWHERE) == "BBBM"
     stage = model.stages[9]  # k = 10, the BBBM boundary
     assert stage.rating_index == 10
-    group_hits = [pattern_matches(p, NOWHERE) for p in stage.patterns]
+    group_hits = [p.matches(NOWHERE) for p in stage.patterns]
     assert group_hits == [True, False, False]
     # no earlier stage claims the record
     assert not any(s.matches(NOWHERE) for s in model.stages[:9])
@@ -104,7 +103,7 @@ def _stage_purity(model, dataset):
             if dataset.scale.index(r.observed_rating) > stage.rating_index
         ]
         for pattern in stage.patterns:
-            assert not any(pattern_matches(pattern, r) for r in negatives), (
+            assert not any(pattern.matches(r) for r in negatives), (
                 f"stage {stage.rating_index} pattern covers a training negative"
             )
 

@@ -6,6 +6,7 @@ from ladrating import serialize_dataset
 from ladrating.cli import (
     EXIT_CONTRADICTION,
     EXIT_COVERAGE,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
     main,
@@ -68,7 +69,7 @@ def test_train_outputs_are_byte_identical_across_runs(train_csv, tmp_path):
         ).read_bytes()
 
 
-def test_train_contradiction_exit_code(tmp_path):
+def test_train_contradiction_exit_code(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,1\n")
     code = main([
@@ -76,6 +77,7 @@ def test_train_contradiction_exit_code(tmp_path):
         "--out", str(tmp_path / "m"),
     ])
     assert code == EXIT_CONTRADICTION
+    assert "stage 1 (AAA)" in capsys.readouterr().err
 
 
 def test_train_coverage_failure_exit_code(tmp_path):
@@ -165,3 +167,49 @@ def test_suggest_flags_output(tmp_path, capsys):
         "--country-values", "U=80,G=60000",
     ]) == EXIT_OK
     assert "suggested,AAA" in capsys.readouterr().out
+
+
+def test_explicit_fallback_overrides_bundle_policy(tmp_path, capsys):
+    data = tmp_path / "train.csv"
+    data.write_text(serialize_dataset(nested_dataset(seed=1, n_records=48)))
+    out = tmp_path / "m"
+    assert main([
+        "train", "--data", str(data), "--year", "2012", "--out", str(out),
+    ]) == EXIT_OK
+    classify = ["classify", "--model", str(out) + ".tree.txt", "--country-values", "EX=1"]
+    capsys.readouterr()
+    assert main(classify) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith(",BM")
+    assert main(classify + ["--fallback", "unclassified"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().endswith(",UNCLASSIFIED")
+
+
+BAD_INPUTS = {
+    "nan-cell": ("country,year,rating,G\nX,2012,AAA,nan\nY,2012,BM,2\n", None, None, EXIT_PARSE),
+    "inf-cell": ("country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,-inf\n", None, None, EXIT_PARSE),
+    "short-row": ("country,year,rating,G\nX,2012,AAA,1\nY\n", None, None, EXIT_PARSE),
+    "bad-inline-value": (None, "G=abc", None, EXIT_PARSE),
+    "missing-config": (None, "G=1", "absent.json", EXIT_IO),
+    "malformed-config": (None, "G=1", "{not json", EXIT_PARSE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
+    csv_text, inline, config, expected = BAD_INPUTS[case]
+    if config is not None:
+        path = tmp_path / "config.json"
+        if config != "absent.json":
+            path.write_text(config)
+        monkeypatch.setenv("LADRATING_CONFIG", str(path))
+    if csv_text is not None:
+        data = tmp_path / "bad.csv"
+        data.write_text(csv_text)
+        argv = ["train", "--data", str(data), "--year", "2012", "--out", str(tmp_path / "m")]
+    else:
+        argv = ["classify", "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient",
+                "--country-values", inline]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladrating import (
     CountryRecord,
@@ -12,7 +14,6 @@ from ladrating import (
     Pattern,
     binarize,
     enumerate_patterns,
-    pattern_matches,
     select_dnf,
 )
 
@@ -163,13 +164,13 @@ class TestPatternMatches:
     )
 
     def test_all_conditions_met(self):
-        assert pattern_matches(self.BBBM_GROUP_1, rec({"G": 8000, "EX": 40, "PPP": 5}))
+        assert self.BBBM_GROUP_1.matches(rec({"G": 8000, "EX": 40, "PPP": 5}))
 
     def test_one_condition_fails(self):
-        assert not pattern_matches(self.BBBM_GROUP_1, rec({"G": 8000, "EX": 10, "PPP": 5}))
+        assert not self.BBBM_GROUP_1.matches(rec({"G": 8000, "EX": 10, "PPP": 5}))
 
     def test_missing_indicator_fails(self):
-        assert not pattern_matches(self.BBBM_GROUP_1, rec({"G": 8000, "EX": 40}))
+        assert not self.BBBM_GROUP_1.matches(rec({"G": 8000, "EX": 40}))
 
 
 def pat(*lits, covers):
@@ -227,6 +228,17 @@ class TestSelectDnf:
         assert dnf.relaxations == (0.4,)
         assert dnf.uncovered == ()
 
+    def test_relaxation_skips_floors_at_or_above_start(self):
+        # c1 has no G value, so no pattern can cover it and every step runs
+        view = self._view(
+            [(1, True), (None, True), (3, False)],
+            [CutPoint("G", 2.0)],
+        )
+        config = MiningConfig(min_prevalence=0.2, relaxation_schedule=(0.4, 0.2, 0.0))
+        dnf = select_dnf(enumerate_patterns(view, config), view, config)
+        assert dnf.relaxations == (0.0,)
+        assert dnf.uncovered == ("c1:2012",)
+
     def test_homogeneity_soundness(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -239,7 +251,7 @@ class TestSelectDnf:
             dnf = select_dnf(enumerate_patterns(view, config), view, config)
             negatives = [r for r, l in records if not l]
             for p in dnf.patterns:
-                assert not any(pattern_matches(p, r) for r in negatives)
+                assert not any(p.matches(r) for r in negatives)
 
     def test_coverage_monotone_in_patterns(self):
         view = self._view(
@@ -257,3 +269,45 @@ class TestSelectDnf:
             now = {r.country_id for r in probe if partial.matches(r)}
             assert accepted <= now
             accepted = now
+
+
+# --- select_dnf covers against Pattern.matches -------------------------------
+
+CELL = st.one_of(st.none(), st.integers(0, 6))
+
+
+@given(
+    rows=st.lists(st.tuples(CELL, CELL, st.booleans()), min_size=2, max_size=10),
+    g_cuts=st.sets(st.integers(0, 5), min_size=1, max_size=3),
+    ex_cuts=st.sets(st.integers(0, 5), max_size=2),
+    min_prevalence=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    min_homogeneity=st.sampled_from([0.5, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_select_dnf_covers_agree_with_pattern_matches(
+    rows, g_cuts, ex_cuts, min_prevalence, min_homogeneity
+):
+    records = []
+    for i, (g, ex, label) in enumerate(rows):
+        values = {code: float(v) for code, v in (("G", g), ("EX", ex)) if v is not None}
+        records.append((rec(values, country=f"c{i}"), label))
+    positives = [r for r, l in records if l]
+    negatives = [r for r, l in records if not l]
+    if not positives:
+        return
+    cuts = [CutPoint("EX", t + 0.5) for t in sorted(ex_cuts)]
+    cuts += [CutPoint("G", t + 0.5) for t in sorted(g_cuts)]
+    view = binarize(records, cuts)
+    config = MiningConfig(
+        max_degree=2, min_prevalence=min_prevalence, min_homogeneity=min_homogeneity
+    )
+    dnf = select_dnf(enumerate_patterns(view, config), view, config)
+
+    covered = set()
+    for p in dnf.patterns:
+        hits = {r.record_id for r in positives if p.matches(r)}
+        assert p.covered_positives == len(hits)
+        assert p.covered_negatives == sum(1 for r in negatives if p.matches(r))
+        assert hits - covered, "a selected pattern must cover a new positive"
+        covered |= hits
+    assert set(dnf.uncovered) == {r.record_id for r in positives} - covered
