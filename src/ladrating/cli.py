@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -56,18 +57,21 @@ EXIT_IO = 6
 CONFIG_ENV = "LADRATING_CONFIG"
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{what} {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{what} {path}: expected a JSON object")
+    return obj
+
+
 def _env_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    with open(path) as fh:
-        try:
-            env = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"${CONFIG_ENV} file {path}: {exc}") from None
-    if not isinstance(env, dict):
-        raise DataFormatError(f"${CONFIG_ENV} file {path}: expected a JSON object")
-    return env
+    return _read_json_object(Path(path), f"${CONFIG_ENV} file")
 
 
 def _scale(fallback: str) -> RatingScale:
@@ -113,7 +117,7 @@ def _load_model(args) -> CascadeModel:
     prov = {}
     sidecar = path.with_suffix("").with_suffix(".provenance.json")
     if path.name.endswith(".tree.txt") and sidecar.exists():
-        prov = json.loads(sidecar.read_text())
+        prov = _read_json_object(sidecar, "provenance sidecar")
     fallback = (
         getattr(args, "fallback", None)
         or prov.get("fallback_policy")
@@ -133,9 +137,12 @@ def _parse_country_values(spec: str) -> CountryRecord:
             raise DataFormatError(f"bad CODE=value pair {part!r}")
         code, raw = part.split("=", 1)
         try:
-            values[code.strip()] = float(raw)
+            value = float(raw)
         except ValueError:
             raise DataFormatError(f"bad CODE=value pair {part!r}") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"non-finite value in CODE=value pair {part!r}")
+        values[code.strip()] = value
     return CountryRecord("cli", 0, values)
 
 

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from ladrating import (
     CountryRecord,
     CutPoint,
     DataFormatError,
+    Literal,
     binarize,
     candidate_cutpoints,
     minimize_cutpoints,
@@ -50,6 +53,129 @@ def brute_force_minimum(candidates, records):
             if separated_pairs(records, list(subset)) >= full:
                 return list(subset)
     raise AssertionError("unreachable")
+
+
+# Reference minimizer: the Python-int implementation the numpy one replaced,
+# kept verbatim (names prefixed) as the oracle for identical cut lists.
+def _reference_minimize(
+    candidates,
+    records,
+    *,
+    exact_cell_limit: int = 2000,
+):
+    candidates = sorted(candidates)
+    view = binarize(records, candidates)
+    pos = np.flatnonzero(view.labels)
+    neg = np.flatnonzero(~view.labels)
+
+    masks = [0] * len(candidates)  # per candidate: bitmask of covered pairs
+    bad_pairs: list[tuple[str, str]] = []
+    pair_index = 0
+    seen_pairs: set[bytes] = set()  # dedupe pairs with identical coverage
+    for i in pos:
+        for j in neg:
+            diff = view.matrix[i] != view.matrix[j]
+            cols = np.flatnonzero(diff)
+            if cols.size == 0:
+                bad_pairs.append((view.record_ids[i], view.record_ids[j]))
+                continue
+            sig = cols.tobytes()
+            if sig in seen_pairs:
+                continue
+            seen_pairs.add(sig)
+            for c in cols:
+                masks[c] |= 1 << pair_index
+            pair_index += 1
+    if bad_pairs:
+        raise ContradictionError(
+            "opposite-class records are not separable by any cut-point: "
+            + "; ".join(f"{a} vs {b}" for a, b in bad_pairs[:5]),
+            pairs=bad_pairs,
+        )
+    n_pairs = pair_index
+    if n_pairs == 0:
+        return []
+    full = (1 << n_pairs) - 1
+
+    if n_pairs * len(candidates) <= exact_cell_limit:
+        chosen = _reference_exact_cover(masks, full)
+    else:
+        chosen = _reference_greedy_cover(masks, full)
+    return sorted(candidates[c] for c in chosen)
+
+
+def _reference_greedy_cover(masks: list[int], full: int) -> list[int]:
+    chosen: list[int] = []
+    covered = 0
+    while covered != full:
+        best, best_gain = -1, 0
+        for c, m in enumerate(masks):
+            gain = (m & ~covered).bit_count()
+            if gain > best_gain:
+                best, best_gain = c, gain
+        chosen.append(best)
+        covered |= masks[best]
+    return chosen
+
+
+def _reference_exact_cover(masks: list[int], full: int) -> list[int]:
+    """Branch and bound on the uncovered-pair count; greedy seeds the bound."""
+    best = _reference_greedy_cover(masks, full)
+    order = sorted(range(len(masks)), key=lambda c: -masks[c].bit_count())
+    max_cover = max(m.bit_count() for m in masks)
+
+    def recurse(idx: int, covered: int, chosen: list[int]):
+        nonlocal best
+        if covered == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if idx >= len(order):
+            return
+        remaining = (full & ~covered).bit_count()
+        lower = len(chosen) + -(-remaining // max_cover)
+        if lower >= len(best):
+            return
+        # Branch on a still-uncovered pair: try each candidate covering it.
+        target = (full & ~covered) & -(full & ~covered)  # lowest uncovered bit
+        for c in order:
+            if masks[c] & target:
+                chosen.append(c)
+                recurse(idx + 1, covered | masks[c], chosen)
+                chosen.pop()
+
+    recurse(0, 0, [])
+    return best
+
+
+def _outcome(minimize, candidates, records, **kwargs):
+    """Cut list, or the contradiction's (message, pairs)."""
+    try:
+        return minimize(candidates, records, **kwargs)
+    except ContradictionError as exc:
+        return str(exc), exc.pairs
+
+
+CODES = ("G", "EX", "U")
+
+# Records over three indicators with values on a coarse grid (ties and
+# values exactly on a threshold are common) and about a quarter missing.
+labeled_records = st.lists(
+    st.tuples(
+        st.fixed_dictionaries(
+            {}, optional={c: st.integers(0, 6).map(float) for c in CODES}
+        ),
+        st.booleans(),
+    ),
+    min_size=0,
+    max_size=10,
+).map(lambda rows: [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)])
+
+cutpoint_lists = st.lists(
+    st.builds(CutPoint, st.sampled_from(CODES), st.integers(0, 13).map(lambda t: t / 2)),
+    max_size=12,
+    unique=True,
+)
 
 
 class TestCandidates:
@@ -156,6 +282,75 @@ class TestMinimize:
             n_pairs = max(1, len(separated_pairs(records, candidates)))
             assert len(greedy) <= len(exact) * (1 + math.log(n_pairs))
 
+    @given(labeled_records, cutpoint_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_minimizer(self, records, candidates):
+        for limit in (2000, 0, 10**6):
+            assert _outcome(
+                minimize_cutpoints, candidates, records, exact_cell_limit=limit
+            ) == _outcome(_reference_minimize, candidates, records, exact_cell_limit=limit)
+
+    def test_exact_cover_follows_first_seen_pair_order(self):
+        # Two optimal covers exist and greedy finds neither; branching on the
+        # earliest uncovered pair in first-seen order picks the reference's.
+        rows = [
+            ({"G": 0.0, "EX": 3.0}, True),
+            ({"G": 2.0, "EX": 2.0, "U": 4.0}, True),
+            ({"G": 3.0, "EX": 1.0}, False),
+            ({"G": 3.0, "EX": 4.0, "U": 3.0}, False),
+            ({"G": 3.0, "EX": 0.0, "U": 2.0}, False),
+            ({"G": 1.0, "EX": 0.0, "U": 1.0}, False),
+        ]
+        records = [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)]
+        candidates = [
+            CutPoint(code, t)
+            for code, ts in (("EX", (0.5, 1.0, 1.5, 3.0)), ("G", (0.5, 2.0)),
+                             ("U", (0.0, 0.5, 3.0, 3.5)))
+            for t in ts
+        ]
+        got = minimize_cutpoints(candidates, records)
+        assert got == _reference_minimize(candidates, records)
+        assert got == [CutPoint("EX", 3.0), CutPoint("U", 3.0)]
+
+    def test_zero_candidates(self):
+        records = labeled([(1, True), (2, False), (3, True)])
+        for limit in (2000, 0, 10**6):
+            got = _outcome(minimize_cutpoints, [], records, exact_cell_limit=limit)
+            assert got == _outcome(_reference_minimize, [], records, exact_cell_limit=limit)
+            assert got[1] == [("c0:2012", "c1:2012"), ("c2:2012", "c1:2012")]
+        assert minimize_cutpoints([], labeled([(1, True), (2, True)])) == []
+
+    def test_blocks_of_one_positive_row(self, monkeypatch):
+        rng = random.Random(7)
+        instances = [self._random_instance(rng, n_records=12) for _ in range(20)]
+        # Two contradictory pairs that fall in different positive blocks.
+        clash = labeled([(1, True), (5, True), (1, False), (5, False), (3, False)])
+        instances.append((clash, [CutPoint("G", 2.0), CutPoint("G", 4.0)]))
+        module = importlib.import_module("ladrating.binarize")
+        unblocked = [
+            _outcome(minimize_cutpoints, c, r, exact_cell_limit=limit)
+            for r, c in instances
+            for limit in (2000, 0)
+        ]
+        monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
+        blocked = [
+            _outcome(minimize_cutpoints, c, r, exact_cell_limit=limit)
+            for r, c in instances
+            for limit in (2000, 0)
+        ]
+        assert blocked == unblocked
+        assert unblocked[-1][1] == [("c0:2012", "c2:2012"), ("c1:2012", "c3:2012")]
+
+    def test_column_counts_match_plain_sums(self):
+        module = importlib.import_module("ladrating.binarize")
+        rng = np.random.default_rng(0)
+        bits = rng.random((700, 20)) < 0.5
+        bits[:, 3] = True  # 700 ones: a sum wrapping at 256 would show here
+        packed = np.packbits(bits, axis=1)
+        for rows in (np.ones(700, dtype=bool), rng.random(700) < 0.5):
+            expected = bits[rows].sum(axis=0)
+            assert (module._column_counts(packed, rows, 20) == expected).all()
+
 
 class TestBinarize:
     def test_threshold_splits_known_values(self):
@@ -194,3 +389,19 @@ class TestBinarize:
             dominates = all(ra.values[c] >= rb.values[c] for c in ("G", "EX"))
             if dominates:
                 assert (view.matrix[i] >= view.matrix[j]).all()
+
+    @given(labeled_records, cutpoint_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_literal_evaluate(self, records, cutpoints):
+        view = binarize(records, cutpoints)
+        assert view.matrix.shape == view.missing.shape == (len(records), len(cutpoints))
+        for i, (r, label) in enumerate(records):
+            assert view.labels[i] == label
+            for j, cp in enumerate(cutpoints):
+                assert view.matrix[i, j] == Literal(cp.indicator, ">=", cp.threshold).evaluate(r)
+                assert view.missing[i, j] == (cp.indicator not in r.values)
+
+    def test_in_memory_nan_is_present_and_false(self):
+        view = binarize([(rec({"G": float("nan")}), True)], [CutPoint("G", 1.0)])
+        assert not view.matrix[0, 0]
+        assert not view.missing[0, 0]

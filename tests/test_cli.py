@@ -189,6 +189,8 @@ BAD_INPUTS = {
     "inf-cell": ("country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,-inf\n", None, None, EXIT_PARSE),
     "short-row": ("country,year,rating,G\nX,2012,AAA,1\nY\n", None, None, EXIT_PARSE),
     "bad-inline-value": (None, "G=abc", None, EXIT_PARSE),
+    "nan-inline-value": (None, "U=nan,G=nan", None, EXIT_PARSE),
+    "inf-inline-value": (None, "U=80,G=-inf", None, EXIT_PARSE),
     "missing-config": (None, "G=1", "absent.json", EXIT_IO),
     "malformed-config": (None, "G=1", "{not json", EXIT_PARSE),
 }
@@ -213,3 +215,23 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("sidecar_text", ["{bad", "[]"])
+def test_malformed_provenance_sidecar_exits_parse(sidecar_text, tmp_path, capsys):
+    out = tmp_path / "m2012"
+    assert main([
+        "import-tree", "--file", str(TREE_DIR / "tree_2012.txt"),
+        "--year", "2012", "--lenient", "--out", str(out),
+    ]) == EXIT_OK
+    sidecar = tmp_path / "m2012.provenance.json"
+    sidecar.write_text(sidecar_text)
+    capsys.readouterr()
+    assert main([
+        "classify", "--model", str(out) + ".tree.txt", "--lenient",
+        "--country-values", "U=80,G=60000",
+    ]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and str(sidecar) in err
