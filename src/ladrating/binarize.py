@@ -141,6 +141,11 @@ def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryVi
 #: built, unpacked bool rows while cover gains are counted.
 _BLOCK_BYTES = 1 << 24
 
+#: Search nodes `_exact_cover` may visit (about 0.5 s of search) before it
+#: returns the best cover found so far. A count, not a time, so results stay
+#: deterministic. Exact stages of the bundled workloads need under 2,000.
+_EXACT_NODE_BUDGET = 200_000
+
 
 def minimize_cutpoints(
     candidates: Sequence[CutPoint],
@@ -157,7 +162,10 @@ def minimize_cutpoints(
     count once, at their first occurrence. Exact branch-and-bound when
     distinct pairs x candidates <= `exact_cell_limit` cells, branching on
     the earliest uncovered pair in that order; greedy otherwise (most
-    uncovered pairs, ties to the earlier candidate in sorted order).
+    uncovered pairs, ties to the earlier candidate in sorted order). The
+    exact search is seeded with the greedy cover and stops after
+    `_EXACT_NODE_BUDGET` nodes; a cover returned then is never larger than
+    greedy's but may not be minimal.
 
     Pairs are built bit-packed, in blocks of positive rows of about
     `_BLOCK_BYTES`, and deduped block by block, so memory is bounded by the
@@ -292,12 +300,16 @@ def _column_masks(pairs: np.ndarray, n_columns: int) -> list[int]:
 
 def _exact_cover(masks: list[int], full: int, best: list[int]) -> list[int]:
     """Branch and bound on the uncovered-pair count; `best`, a cover, seeds
-    the bound."""
+    the bound. Past `_EXACT_NODE_BUDGET` nodes the best cover so far is kept."""
     order = sorted(range(len(masks)), key=lambda c: -masks[c].bit_count())
     max_cover = max(m.bit_count() for m in masks)
+    nodes = 0
 
     def recurse(idx: int, covered: int, chosen: list[int]):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _EXACT_NODE_BUDGET:
+            return
         if covered == full:
             if len(chosen) < len(best):
                 best = list(chosen)

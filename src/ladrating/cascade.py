@@ -25,7 +25,7 @@ from .data import (
     serialize_dataset,
 )
 from .errors import DataFormatError, LadError
-from .patterns import ClassDnf, MiningConfig, Pattern, enumerate_patterns, select_dnf
+from .patterns import ClassDnf, MiningConfig, Pattern, select_dnf
 from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
@@ -92,36 +92,30 @@ def train_cascade(
         labeled = [(r, r.observed_rating in positive_labels) for r in train]
         n_pos = sum(1 for _, lab in labeled if lab)
         boundary_class = scale.classes[k - 1]
+        prefix = f"stage {k} ({boundary_class})"
         if k > 1 and not any(r.observed_rating == boundary_class for r in train):
             # Same binary problem as the previous boundary; an identical DNF
             # could never fire first, so the stage ships empty.
             stages.append(ClassDnf(rating_index=k, patterns=()))
-            notes.append(f"stage {k} ({boundary_class}): no members, boundary unchanged")
+            notes.append(f"{prefix}: no members, boundary unchanged")
             continue
         if n_pos == 0 or n_pos == len(labeled):
             stages.append(ClassDnf(rating_index=k, patterns=()))
             side = "positive" if n_pos == 0 else "negative"
-            notes.append(f"stage {k} ({scale.classes[k - 1]}): empty {side} side")
+            notes.append(f"{prefix}: empty {side} side")
             continue
         candidates = all_candidate_cutpoints(labeled, codes)
         try:
             cuts = minimize_cutpoints(candidates, labeled)
         except LadError as exc:
-            exc.args = (f"stage {k} ({scale.classes[k - 1]}): {exc}",)
+            exc.args = (f"{prefix}: {exc}",)
             raise
         view = binarize(labeled, cuts)
-        pool = enumerate_patterns(view, config)
-        dnf = select_dnf(pool, view, config, rating_index=k)
+        dnf = select_dnf(view, config, rating_index=k)
         stages.append(dnf)
-        for floor in dnf.relaxations:
-            notes.append(
-                f"stage {k} ({scale.classes[k - 1]}): prevalence relaxed to {floor}"
-            )
+        notes += [f"{prefix}: prevalence relaxed to {floor}" for floor in dnf.relaxations]
         if dnf.uncovered:
-            notes.append(
-                f"stage {k} ({scale.classes[k - 1]}): uncovered positives "
-                + ", ".join(dnf.uncovered)
-            )
+            notes.append(f"{prefix}: uncovered positives " + ", ".join(dnf.uncovered))
 
     return CascadeModel(
         scale=scale,

@@ -79,9 +79,14 @@ def _scale(fallback: str) -> RatingScale:
 
 
 def _mining_config(args) -> MiningConfig:
-    schedule = tuple(
-        float(x) for x in args.relaxation.split(",") if x.strip() != ""
-    )
+    try:
+        schedule = tuple(
+            float(x) for x in args.relaxation.split(",") if x.strip() != ""
+        )
+    except (AttributeError, ValueError):
+        raise DataFormatError(
+            f"relaxation {args.relaxation!r}: expected comma-separated numbers"
+        ) from None
     return MiningConfig(
         max_degree=args.degree,
         min_prevalence=args.prevalence,
@@ -94,6 +99,14 @@ def _mining_config(args) -> MiningConfig:
 def _write(path: Path, content: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
+
+
+def _emit(out, content: str):
+    """Write `content` to the file `out`, or to stdout when `out` is unset."""
+    if out:
+        _write(Path(out), content)
+    else:
+        sys.stdout.write(content)
 
 
 def _write_bundle(out: Path, model: CascadeModel, fallback: str):
@@ -182,11 +195,7 @@ def _classify_like(args, suggest: bool) -> int:
             rating = cascade_mod.classify(model, rec)
             kind = "classified"
         lines.append(f"{rec.country_id},{rec.year},{kind},{rating or 'UNCLASSIFIED'}")
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), output)
-    else:
-        sys.stdout.write(output)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -203,9 +212,6 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(Path(args.data).read_text(), model.scale)
     if args.split_fraction is not None:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
-    if not dataset.labeled_records:
-        print("error: no labeled records", file=sys.stderr)
-        return EXIT_PARSE
     report = evaluate(model, dataset)
     text = render_report(report)
     machine = json.dumps(
@@ -253,12 +259,7 @@ def cmd_import_tree(args) -> int:
 
 
 def cmd_export_tree(args) -> int:
-    model = _load_model(args)
-    output = export_decision_tree(model)
-    if args.out:
-        _write(Path(args.out), output)
-    else:
-        sys.stdout.write(output)
+    _emit(args.out, export_decision_tree(_load_model(args)))
     return EXIT_OK
 
 
@@ -269,11 +270,7 @@ def cmd_report_keyvars(args) -> int:
     for group, usage in report.groups.items():
         for code, (count, share) in usage.items():
             lines.append(f"{group}\t{code}\t{count}\t{share:.3f}")
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), output)
-    else:
-        sys.stdout.write(output)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -238,7 +238,14 @@ def load_dataset(
 
         if min_population is not None and pop_col is not None and pop_col < len(row):
             cell = row[pop_col].strip()
-            if cell and float(cell) < min_population:
+            try:
+                below = bool(cell) and float(cell) < min_population
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}, column {pop_col + 1} ({population_column}): "
+                    f"bad numeric value {cell!r}"
+                ) from None
+            if below:
                 if warnings is not None:
                     warnings.append(f"dropping {key}: population below threshold")
                 continue

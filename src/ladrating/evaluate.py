@@ -63,7 +63,7 @@ def _build_report(
     keys: Optional[Sequence] = None,
 ) -> EvaluationReport:
     if not rows:
-        raise DataFormatError("evaluation needs at least one labeled record")
+        raise DataFormatError("no labeled records to evaluate")
     mismatches = [
         _mismatch(scale, country, model, observed)
         for country, model, observed in rows

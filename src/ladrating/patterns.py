@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -73,12 +74,16 @@ class MiningConfig:
     relaxation_schedule: tuple[float, ...] = (0.40, 0.20, 0.0)
 
     def __post_init__(self):
-        if self.max_degree < 1:
-            raise DataFormatError("max_degree must be >= 1")
-        for name in ("min_prevalence", "min_homogeneity", "dnf_coverage_target"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DataFormatError(f"{name} must lie in [0, 1], got {v}")
+        degree = self.max_degree
+        if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 1:
+            raise DataFormatError(f"max_degree must be an integer >= 1, got {degree!r}")
+        names = ("min_prevalence", "min_homogeneity", "dnf_coverage_target")
+        floors = [(name, getattr(self, name)) for name in names]
+        floors += [("relaxation_schedule step", v) for v in self.relaxation_schedule]
+        for name, v in floors:
+            # Type first: a None or a string must not reach the comparison.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v <= 1.0:
+                raise DataFormatError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
 def _literal_pool(view: BinaryView) -> list[tuple[Literal, np.ndarray]]:
@@ -116,14 +121,10 @@ def enumerate_patterns(
     labels = view.labels
 
     accepted: list[Pattern] = []
-    accepted_keys: list[frozenset[int]] = []
     for degree in range(1, config.max_degree + 1):
         for combo in itertools.combinations(range(len(pool)), degree):
             dirs = {(pool[i][0].indicator, pool[i][0].direction) for i in combo}
             if len(dirs) != degree:
-                continue
-            key = frozenset(combo)
-            if prune and any(sub < key for sub in accepted_keys):
                 continue
             cover = pool[combo[0]][1]
             for i in combo[1:]:
@@ -147,74 +148,77 @@ def enumerate_patterns(
                     homogeneity=homogeneity,
                 )
             )
-            accepted_keys.append(key)
-    return accepted
+    return _prime(accepted, config.min_prevalence) if prune else accepted
+
+
+def _prime(patterns: Sequence[Pattern], floor: float) -> list[Pattern]:
+    """The patterns meeting the prevalence `floor` none of whose proper
+    sub-patterns meets it, in their given order. A pattern with a qualifying
+    sub-pattern always has a prime one: its smallest qualifying sub-pattern.
+    """
+    meets = {p.literals for p in patterns if p.prevalence + _EPS >= floor}
+    return [
+        p
+        for p in patterns
+        if p.literals in meets
+        and all(
+            meets.isdisjoint(itertools.combinations(p.literals, d)) for d in range(1, p.degree)
+        )
+    ]
 
 
 def select_dnf(
-    patterns: Sequence[Pattern],
     view: BinaryView,
     config: MiningConfig,
     *,
     rating_index: int = 0,
 ) -> ClassDnf:
-    """Greedy minimum cover of the positive records by patterns.
+    """Greedy minimum cover of the positive records by prime patterns.
 
-    Repeatedly takes the pattern covering the most uncovered positives
-    (ties: higher homogeneity, fewer literals, then enumeration order). When
-    the coverage target cannot be met, the prevalence floor is relaxed along
-    the configured schedule and the pool re-enumerated; schedule steps at or
-    above the current floor are skipped, as they could add no coverage. A
-    still-unmet target yields a partial DNF with its uncovered records
-    flagged. Every pattern's literals must be literals of `view`.
+    Patterns are enumerated once, unpruned, at the lowest floor the
+    relaxation schedule reaches; each floor takes its prime patterns from
+    that list. Repeatedly takes the pattern covering the most uncovered
+    positives (ties: higher homogeneity, fewer literals, then enumeration
+    order). When the coverage target cannot be met, the prevalence floor is
+    relaxed along the schedule, skipping steps at or above the current
+    floor, as they could add no coverage. A still-unmet target yields a
+    partial DNF with its uncovered records flagged.
     """
     labels = view.labels
-    total_pos = view.n_positives
-    target = config.dnf_coverage_target * total_pos
+    target = config.dnf_coverage_target * view.n_positives
+    floor = config.min_prevalence
+    lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
+    patterns = enumerate_patterns(view, lowest, prune=False)
     truth = dict(_literal_pool(view))
+    covers = {
+        p.literals: np.logical_and.reduce([labels, *(truth[lit] for lit in p.literals)])
+        for p in patterns
+    }
 
-    def positive_covers(pool: Sequence[Pattern]) -> list[np.ndarray]:
-        covers = []
-        for p in pool:
-            cover = labels.copy()
-            for lit in p.literals:
-                cover &= truth[lit]
-            covers.append(cover)
-        return covers
-
-    pool = list(patterns)
-    covers = positive_covers(pool)
+    pool = _prime(patterns, floor)
     selected: list[Pattern] = []
     selected_cover = np.zeros(len(view.record_ids), dtype=bool)
     relaxations: list[float] = []
-    floor = config.min_prevalence
     schedule = iter(config.relaxation_schedule)
 
     while True:
-        progressed = True
-        while selected_cover.sum() + _EPS < target and progressed:
-            best = None
-            best_key = None
-            for idx, (p, cov) in enumerate(zip(pool, covers)):
-                gain = int((cov & ~selected_cover).sum())
-                if gain == 0:
-                    continue
-                key = (-gain, -(p.homogeneity or 0.0), p.degree, idx)
-                if best_key is None or key < best_key:
-                    best, best_key = idx, key
-            if best is None:
-                progressed = False
-            else:
-                selected.append(pool[best])
-                selected_cover |= covers[best]
+        while selected_cover.sum() + _EPS < target:
+            gains = [int((covers[p.literals] & ~selected_cover).sum()) for p in pool]
+            if not any(gains):
+                break
+            # min() keeps the first of equal keys: enumeration order breaks ties.
+            best = min(
+                range(len(pool)), key=lambda i: (-gains[i], -pool[i].homogeneity, pool[i].degree)
+            )
+            selected.append(pool[best])
+            selected_cover |= covers[pool[best].literals]
         if selected_cover.sum() + _EPS >= target:
             break
         floor = next((step for step in schedule if step < floor), None)
         if floor is None:
             break
         relaxations.append(floor)
-        pool = enumerate_patterns(view, replace(config, min_prevalence=floor))
-        covers = positive_covers(pool)
+        pool = _prime(patterns, floor)
 
     uncovered = tuple(
         view.record_ids[i]

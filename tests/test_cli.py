@@ -184,6 +184,8 @@ def test_explicit_fallback_overrides_bundle_policy(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith(",UNCLASSIFIED")
 
 
+GOOD_CSV = "country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,2\n"
+
 BAD_INPUTS = {
     "nan-cell": ("country,year,rating,G\nX,2012,AAA,nan\nY,2012,BM,2\n", None, None, EXIT_PARSE),
     "inf-cell": ("country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,-inf\n", None, None, EXIT_PARSE),
@@ -193,7 +195,12 @@ BAD_INPUTS = {
     "inf-inline-value": (None, "U=80,G=-inf", None, EXIT_PARSE),
     "missing-config": (None, "G=1", "absent.json", EXIT_IO),
     "malformed-config": (None, "G=1", "{not json", EXIT_PARSE),
+    "relaxation-not-number": (GOOD_CSV, None, None, EXIT_PARSE),
+    "relaxation-config-not-string": (GOOD_CSV, None, '{"relaxation": 5}', EXIT_PARSE),
+    "degree-config-not-int": (GOOD_CSV, None, '{"degree": 2.5}', EXIT_PARSE),
+    "homogeneity-config-null": (GOOD_CSV, None, '{"homogeneity": null}', EXIT_PARSE),
 }
+EXTRA_FLAGS = {"relaxation-not-number": ["--relaxation", "abc"]}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -208,6 +215,7 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(csv_text)
         argv = ["train", "--data", str(data), "--year", "2012", "--out", str(tmp_path / "m")]
+        argv += EXTRA_FLAGS.get(case, [])
     else:
         argv = ["classify", "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient",
                 "--country-values", inline]

@@ -1,11 +1,15 @@
 import itertools
 import random
+from dataclasses import replace
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
+    ClassDnf,
     CountryRecord,
     CutPoint,
     DataFormatError,
@@ -16,6 +20,8 @@ from ladrating import (
     enumerate_patterns,
     select_dnf,
 )
+from ladrating.binarize import BinaryView
+from ladrating.patterns import _EPS, _literal_pool
 
 
 def rec(values, country="x"):
@@ -154,6 +160,25 @@ class TestEnumerate:
             assert not any(other < key for other in pruned)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_degree", 2.5),
+        ("max_degree", True),
+        ("max_degree", 0),
+        ("min_prevalence", None),
+        ("min_homogeneity", "1.0"),
+        ("dnf_coverage_target", float("nan")),
+        ("relaxation_schedule", (0.4, -3.0)),
+        ("relaxation_schedule", (1.5,)),
+        ("relaxation_schedule", (0.2, None)),
+    ],
+)
+def test_mining_config_rejects_bad_values(field, value):
+    with pytest.raises(DataFormatError, match=field):
+        MiningConfig(**{field: value})
+
+
 class TestPatternMatches:
     BBBM_GROUP_1 = Pattern(
         literals=(
@@ -194,8 +219,7 @@ class TestSelectDnf:
             [(1, True), (3, True), (5, True), (-2, False)],
             [CutPoint("G", 0.5), CutPoint("G", 2.0), CutPoint("G", 4.0)],
         )
-        pool = enumerate_patterns(view, MiningConfig(min_prevalence=0.0))
-        dnf = select_dnf(pool, view, MiningConfig(min_prevalence=0.0))
+        dnf = select_dnf(view, MiningConfig(min_prevalence=0.0))
         assert len(dnf.patterns) == 1
         assert dnf.uncovered == ()
 
@@ -206,15 +230,15 @@ class TestSelectDnf:
             [CutPoint("G", 1.0), CutPoint("G", 3.0)],
         )
         config = MiningConfig(min_prevalence=0.0)
-        pool = enumerate_patterns(view, config)
-        dnf = select_dnf(pool, view, config)
+        dnf = select_dnf(view, config)
         assert len(dnf.patterns) == 2
         assert dnf.uncovered == ()
 
     def test_unreachable_target_flags_uncovered(self):
-        view = self._view([(1, True), (2, False)], [CutPoint("G", 1.5)])
+        # c0 has no G value, so no pattern can cover it
+        view = self._view([(None, True), (2, False)], [CutPoint("G", 1.5)])
         config = MiningConfig(min_prevalence=1.0, relaxation_schedule=())
-        dnf = select_dnf([], view, config)
+        dnf = select_dnf(view, config)
         assert dnf.patterns == ()
         assert dnf.uncovered == ("c0:2012",)
 
@@ -224,7 +248,7 @@ class TestSelectDnf:
             [CutPoint("G", 1.0), CutPoint("G", 3.0)],
         )
         config = MiningConfig(min_prevalence=0.9, relaxation_schedule=(0.4,))
-        dnf = select_dnf(enumerate_patterns(view, config), view, config)
+        dnf = select_dnf(view, config)
         assert dnf.relaxations == (0.4,)
         assert dnf.uncovered == ()
 
@@ -235,7 +259,7 @@ class TestSelectDnf:
             [CutPoint("G", 2.0)],
         )
         config = MiningConfig(min_prevalence=0.2, relaxation_schedule=(0.4, 0.2, 0.0))
-        dnf = select_dnf(enumerate_patterns(view, config), view, config)
+        dnf = select_dnf(view, config)
         assert dnf.relaxations == (0.0,)
         assert dnf.uncovered == ("c1:2012",)
 
@@ -248,7 +272,7 @@ class TestSelectDnf:
             cuts = [CutPoint("G", t + 0.5) for t in range(7)]
             view, records = view_of(rows, cuts)
             config = MiningConfig()
-            dnf = select_dnf(enumerate_patterns(view, config), view, config)
+            dnf = select_dnf(view, config)
             negatives = [r for r, l in records if not l]
             for p in dnf.patterns:
                 assert not any(p.matches(r) for r in negatives)
@@ -259,11 +283,9 @@ class TestSelectDnf:
             [CutPoint("G", 1.0), CutPoint("G", 3.0)],
         )
         config = MiningConfig(min_prevalence=0.0)
-        dnf = select_dnf(enumerate_patterns(view, config), view, config)
+        dnf = select_dnf(view, config)
         probe = [rec({"G": float(v)}, country=f"p{v}") for v in range(-2, 7)]
         accepted = set()
-        from ladrating import ClassDnf
-
         for n in range(len(dnf.patterns) + 1):
             partial = ClassDnf(rating_index=dnf.rating_index, patterns=dnf.patterns[:n])
             now = {r.country_id for r in probe if partial.matches(r)}
@@ -301,7 +323,7 @@ def test_select_dnf_covers_agree_with_pattern_matches(
     config = MiningConfig(
         max_degree=2, min_prevalence=min_prevalence, min_homogeneity=min_homogeneity
     )
-    dnf = select_dnf(enumerate_patterns(view, config), view, config)
+    dnf = select_dnf(view, config)
 
     covered = set()
     for p in dnf.patterns:
@@ -311,3 +333,185 @@ def test_select_dnf_covers_agree_with_pattern_matches(
         assert hits - covered, "a selected pattern must cover a new positive"
         covered |= hits
     assert set(dnf.uncovered) == {r.record_id for r in positives} - covered
+
+
+# --- reference: enumeration and selection before patterns were enumerated ---
+# once per stage. Verbatim but for the names: every relaxation step
+# re-enumerates, and pruning scans the prime patterns accepted so far.
+
+def _reference_enumerate(
+    view: BinaryView, config: MiningConfig, *, prune: bool = True
+) -> list[Pattern]:
+    """All degree-<=maxDegree conjunctions meeting the prevalence and
+    homogeneity floors, in (degree, literal-order) order.
+
+    A pattern must cover at least one positive record. Two literals on the
+    same indicator with the same direction are redundant and never combined;
+    an interval (>= plus <=) is allowed. With `prune` set, a pattern is
+    dropped when a proper sub-pattern already meets both floors (prime
+    patterns only); disable for oracle comparisons.
+    """
+    total_pos = view.n_positives
+    if total_pos == 0:
+        raise DataFormatError("pattern enumeration needs at least one positive record")
+    pool = _literal_pool(view)
+    labels = view.labels
+
+    accepted: list[Pattern] = []
+    accepted_keys: list[frozenset[int]] = []
+    for degree in range(1, config.max_degree + 1):
+        for combo in itertools.combinations(range(len(pool)), degree):
+            dirs = {(pool[i][0].indicator, pool[i][0].direction) for i in combo}
+            if len(dirs) != degree:
+                continue
+            key = frozenset(combo)
+            if prune and any(sub < key for sub in accepted_keys):
+                continue
+            cover = pool[combo[0]][1]
+            for i in combo[1:]:
+                cover = cover & pool[i][1]
+            cp = int((cover & labels).sum())
+            if cp == 0:
+                continue
+            cn = int((cover & ~labels).sum())
+            prevalence = cp / total_pos
+            homogeneity = cp / (cp + cn)
+            if prevalence + _EPS < config.min_prevalence:
+                continue
+            if homogeneity + _EPS < config.min_homogeneity:
+                continue
+            accepted.append(
+                Pattern(
+                    literals=tuple(pool[i][0] for i in combo),
+                    covered_positives=cp,
+                    covered_negatives=cn,
+                    prevalence=prevalence,
+                    homogeneity=homogeneity,
+                )
+            )
+            accepted_keys.append(key)
+    return accepted
+
+
+def _reference_select_dnf(
+    patterns: Sequence[Pattern],
+    view: BinaryView,
+    config: MiningConfig,
+    *,
+    rating_index: int = 0,
+) -> ClassDnf:
+    """Greedy minimum cover of the positive records by patterns.
+
+    Repeatedly takes the pattern covering the most uncovered positives
+    (ties: higher homogeneity, fewer literals, then enumeration order). When
+    the coverage target cannot be met, the prevalence floor is relaxed along
+    the configured schedule and the pool re-enumerated; schedule steps at or
+    above the current floor are skipped, as they could add no coverage. A
+    still-unmet target yields a partial DNF with its uncovered records
+    flagged. Every pattern's literals must be literals of `view`.
+    """
+    labels = view.labels
+    total_pos = view.n_positives
+    target = config.dnf_coverage_target * total_pos
+    truth = dict(_literal_pool(view))
+
+    def positive_covers(pool: Sequence[Pattern]) -> list[np.ndarray]:
+        covers = []
+        for p in pool:
+            cover = labels.copy()
+            for lit in p.literals:
+                cover &= truth[lit]
+            covers.append(cover)
+        return covers
+
+    pool = list(patterns)
+    covers = positive_covers(pool)
+    selected: list[Pattern] = []
+    selected_cover = np.zeros(len(view.record_ids), dtype=bool)
+    relaxations: list[float] = []
+    floor = config.min_prevalence
+    schedule = iter(config.relaxation_schedule)
+
+    while True:
+        progressed = True
+        while selected_cover.sum() + _EPS < target and progressed:
+            best = None
+            best_key = None
+            for idx, (p, cov) in enumerate(zip(pool, covers)):
+                gain = int((cov & ~selected_cover).sum())
+                if gain == 0:
+                    continue
+                key = (-gain, -(p.homogeneity or 0.0), p.degree, idx)
+                if best_key is None or key < best_key:
+                    best, best_key = idx, key
+            if best is None:
+                progressed = False
+            else:
+                selected.append(pool[best])
+                selected_cover |= covers[best]
+        if selected_cover.sum() + _EPS >= target:
+            break
+        floor = next((step for step in schedule if step < floor), None)
+        if floor is None:
+            break
+        relaxations.append(floor)
+        pool = _reference_enumerate(view, replace(config, min_prevalence=floor))
+        covers = positive_covers(pool)
+
+    uncovered = tuple(
+        view.record_ids[i]
+        for i in np.flatnonzero(labels & ~selected_cover)
+    )
+    return ClassDnf(
+        rating_index=rating_index,
+        patterns=tuple(selected),
+        uncovered=uncovered,
+        relaxations=tuple(relaxations),
+    )
+
+
+FLOOR = st.sampled_from([0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.7, 1.0])
+
+
+@given(
+    rows=st.lists(st.tuples(CELL, CELL, CELL, st.booleans()), min_size=2, max_size=12),
+    g_cuts=st.sets(st.integers(0, 5), min_size=1, max_size=3),
+    ex_cuts=st.sets(st.integers(0, 5), max_size=2),
+    c_cuts=st.sets(st.integers(0, 5), max_size=2),
+    max_degree=st.integers(1, 3),
+    min_prevalence=FLOOR,
+    min_homogeneity=st.sampled_from([0.5, 0.75, 1.0]),
+    target=st.sampled_from([0.5, 0.8, 1.0]),
+    schedule=st.lists(FLOOR, max_size=4).map(tuple),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_enumeration_and_selection(
+    rows, g_cuts, ex_cuts, c_cuts, max_degree, min_prevalence, min_homogeneity, target,
+    schedule,
+):
+    records = []
+    for i, (g, ex, c, label) in enumerate(rows):
+        cells = (("G", g), ("EX", ex), ("C", c))
+        values = {code: float(v) for code, v in cells if v is not None}
+        records.append((rec(values, country=f"c{i}"), label))
+    if not any(label for _, label in records):
+        return
+    cuts = [CutPoint("C", t + 0.5) for t in sorted(c_cuts)]
+    cuts += [CutPoint("EX", t + 0.5) for t in sorted(ex_cuts)]
+    cuts += [CutPoint("G", t + 0.5) for t in sorted(g_cuts)]
+    view = binarize(records, cuts)
+    config = MiningConfig(
+        max_degree=max_degree,
+        min_prevalence=min_prevalence,
+        min_homogeneity=min_homogeneity,
+        dnf_coverage_target=target,
+        relaxation_schedule=schedule,
+    )
+    for prune in (True, False):
+        assert enumerate_patterns(view, config, prune=prune) == _reference_enumerate(
+            view, config, prune=prune
+        )
+    expected = _reference_select_dnf(
+        _reference_enumerate(view, config), view, config, rating_index=3
+    )
+    assert select_dnf(view, config, rating_index=3) == expected
