@@ -20,6 +20,7 @@ from .cascade import (
     KeyVariableReport,
     Provenance,
     classify,
+    classify_records,
     export_decision_tree,
     import_decision_tree,
     key_variables,

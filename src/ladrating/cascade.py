@@ -14,6 +14,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .binarize import all_candidate_cutpoints, binarize, minimize_cutpoints
 from .data import (
     DEFAULT_REGISTRY,
@@ -29,6 +31,10 @@ from .patterns import ClassDnf, MiningConfig, Pattern, select_dnf
 from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
+
+#: Records per block in `classify_records`; its arrays then take under
+#: 1 MB on the published trees.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -138,12 +144,69 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
     return None
 
 
-def suggest_rating(model: CascadeModel, record: CountryRecord) -> Optional[str]:
-    """Classify an unrated record; the result is a suggestion, not a fact."""
+def classify_records(
+    model: CascadeModel, records: Sequence[CountryRecord]
+) -> list[Optional[str]]:
+    """`classify` of every record, computed as arrays.
+
+    The model is lowered into one flat literal list (indicator column,
+    threshold, `>=` flag) cut into patterns. Patterns keep first-match order:
+    the stages' patterns in stage order, then, under the unclassified policy
+    only, the tail's; last comes a zero-literal pattern, which always holds,
+    carrying the fallback (the last class, or None for Unclassified). A
+    record takes the label of its first matching pattern.
+
+    A missing value, and an in-memory NaN, read as NaN, which satisfies
+    neither direction, as in `Literal.evaluate`. Records go through in
+    blocks of `_BLOCK_ROWS`, so the arrays held at once take about
+    `_BLOCK_ROWS` x (indicators + 2 x literals) x 8 bytes, whatever the
+    number of records.
+    """
+    classes = model.scale.classes
+    last = classes[-1]
+    labeled = [(classes[s.rating_index - 1], p) for s in model.stages for p in s.patterns]
+    if model.scale.fallback_policy == FALLBACK_TO_LAST:
+        fallback = last
+    else:
+        fallback = None
+        if model.tail is not None:
+            labeled += [(last, p) for p in model.tail.patterns]
+    labeled.append((fallback, Pattern(literals=())))
+    literals = [lit for _, p in labeled for lit in p.literals]
+    codes = sorted({lit.indicator for lit in literals})
+    column = np.array([codes.index(lit.indicator) for lit in literals], dtype=np.intp)
+    threshold = np.array([lit.threshold for lit in literals], dtype=float)
+    ge = np.array([lit.direction == ">=" for lit in literals], dtype=bool)
+    # Pattern p owns literals bounds[p]:bounds[p + 1].
+    bounds = np.cumsum([0] + [p.degree for _, p in labeled])
+    labels = [label for label, _ in labeled]
+
+    out: list[Optional[str]] = []
+    nan = float("nan")
+    for start in range(0, len(records), _BLOCK_ROWS):
+        block = records[start:start + _BLOCK_ROWS]
+        values = np.array(
+            [[r.values.get(code, nan) for code in codes] for r in block], dtype=float
+        )[:, column]
+        truth = np.where(ge, values >= threshold, values <= threshold)
+        # Literals holding so far; a pattern matches when all of its own hold.
+        held = np.zeros((len(block), len(literals) + 1), dtype=np.int32)
+        np.cumsum(truth, axis=1, out=held[:, 1:])
+        matches = held[:, bounds[1:]] - held[:, bounds[:-1]] == np.diff(bounds)
+        out += [labels[i] for i in matches.argmax(axis=1)]
+    return out
+
+
+def _require_unrated(record: CountryRecord) -> None:
     if record.observed_rating is not None:
         raise DataFormatError(
             f"{record.record_id} already carries rating {record.observed_rating!r}"
         )
+
+
+def suggest_rating(model: CascadeModel, record: CountryRecord) -> Optional[str]:
+    """Classify an unrated record; the result is a suggestion, not a fact."""
+    _require_unrated(record)
     return classify(model, record)
 
 

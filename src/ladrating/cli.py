@@ -24,10 +24,11 @@ from pathlib import Path
 from . import cascade as cascade_mod
 from .cascade import (
     CascadeModel,
+    _require_unrated,
+    classify_records,
     export_decision_tree,
     import_decision_tree,
     key_variables,
-    suggest_rating,
     train_cascade,
 )
 from .data import (
@@ -67,11 +68,33 @@ def _read_json_object(path: Path, what: str) -> dict:
     return obj
 
 
+#: The JSON types each $LADRATING_CONFIG key takes. argparse converts only
+#: string defaults, so a string where a number belongs must stop here, or it
+#: would be reported against a flag the user never passed.
+_CONFIG_TYPES = {
+    "degree": ((int,), "an integer"),
+    "prevalence": ((int, float), "a number"),
+    "homogeneity": ((int, float), "a number"),
+    "coverage_target": ((int, float), "a number"),
+    "relaxation": ((str,), "a string"),
+    "fallback": ((str,), "a string"),
+}
+
+
 def _env_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    return _read_json_object(Path(path), f"${CONFIG_ENV} file")
+    config = _read_json_object(Path(path), f"${CONFIG_ENV} file")
+    for key, (types, expected) in _CONFIG_TYPES.items():
+        if key not in config:
+            continue
+        value = config[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DataFormatError(
+                f"${CONFIG_ENV} file {path}: {key!r} must be {expected}, got {value!r}"
+            )
+    return config
 
 
 def _scale(fallback: str) -> RatingScale:
@@ -83,7 +106,7 @@ def _mining_config(args) -> MiningConfig:
         schedule = tuple(
             float(x) for x in args.relaxation.split(",") if x.strip() != ""
         )
-    except (AttributeError, ValueError):
+    except ValueError:
         raise DataFormatError(
             f"relaxation {args.relaxation!r}: expected comma-separated numbers"
         ) from None
@@ -186,15 +209,15 @@ def cmd_train(args) -> int:
 
 def _classify_like(args, suggest: bool) -> int:
     model = _load_model(args)
-    lines = []
-    for rec in _records_to_classify(args, model.scale):
-        if suggest:
-            rating = suggest_rating(model, rec)
-            kind = "suggested"
-        else:
-            rating = cascade_mod.classify(model, rec)
-            kind = "classified"
-        lines.append(f"{rec.country_id},{rec.year},{kind},{rating or 'UNCLASSIFIED'}")
+    records = _records_to_classify(args, model.scale)
+    if suggest:
+        for rec in records:
+            _require_unrated(rec)
+    kind = "suggested" if suggest else "classified"
+    lines = [
+        f"{rec.country_id},{rec.year},{kind},{rating or 'UNCLASSIFIED'}"
+        for rec, rating in zip(records, classify_records(model, records))
+    ]
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

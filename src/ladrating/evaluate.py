@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cascade import CascadeModel, classify
+from .cascade import CascadeModel, classify_records
 from .data import Dataset, RatingScale
 from .errors import DataFormatError
 
@@ -107,7 +107,8 @@ def evaluate(model: CascadeModel, dataset: Dataset) -> EvaluationReport:
     excluded from the bias shares.
     """
     labeled = dataset.labeled_records
-    rows = [(r.country_id, classify(model, r), r.observed_rating) for r in labeled]
+    ratings = classify_records(model, labeled)
+    rows = [(r.country_id, rating, r.observed_rating) for r, rating in zip(labeled, ratings)]
     keys = [r.key for r in labeled]
     train_keys = set(dataset.split.train_keys) if dataset.split else None
     test_keys = set(dataset.split.test_keys) if dataset.split else None

@@ -177,7 +177,8 @@ def select_dnf(
 
     Patterns are enumerated once, unpruned, at the lowest floor the
     relaxation schedule reaches; each floor takes its prime patterns from
-    that list. Repeatedly takes the pattern covering the most uncovered
+    that list, and positive covers are computed only for those, once per
+    pattern. Repeatedly takes the pattern covering the most uncovered
     positives (ties: higher homogeneity, fewer literals, then enumeration
     order). When the coverage target cannot be met, the prevalence floor is
     relaxed along the schedule, skipping steps at or above the current
@@ -190,18 +191,20 @@ def select_dnf(
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest, prune=False)
     truth = dict(_literal_pool(view))
-    covers = {
-        p.literals: np.logical_and.reduce([labels, *(truth[lit] for lit in p.literals)])
-        for p in patterns
-    }
+    covers: dict[tuple[Literal, ...], np.ndarray] = {}  # positive covers, by literals
 
-    pool = _prime(patterns, floor)
     selected: list[Pattern] = []
     selected_cover = np.zeros(len(view.record_ids), dtype=bool)
     relaxations: list[float] = []
     schedule = iter(config.relaxation_schedule)
 
     while True:
+        pool = _prime(patterns, floor)
+        for p in pool:
+            if p.literals not in covers:
+                covers[p.literals] = np.logical_and.reduce(
+                    [labels, *(truth[lit] for lit in p.literals)]
+                )
         while selected_cover.sum() + _EPS < target:
             gains = [int((covers[p.literals] & ~selected_cover).sum()) for p in pool]
             if not any(gains):
@@ -218,7 +221,6 @@ def select_dnf(
         if floor is None:
             break
         relaxations.append(floor)
-        pool = _prime(patterns, floor)
 
     uncovered = tuple(
         view.record_ids[i]

@@ -2,22 +2,32 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladrating import (
+    CascadeModel,
+    ClassDnf,
     CountryRecord,
     DataFormatError,
     DEFAULT_SCALE,
     Dataset,
+    Literal,
     MiningConfig,
+    Pattern,
     RatingScale,
     classify,
+    classify_records,
     key_variables,
     suggest_rating,
     train_cascade,
 )
-from ladrating.data import UNCLASSIFIED_POLICY
+from ladrating import cascade as cascade_module
+from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY
 
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
+POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
+NAN = float("nan")
 
 
 def rec(country, values, rating=None):
@@ -169,3 +179,118 @@ class TestKeyVariables:
             "G": (1, 1.0),
             "I": (1, 1.0),
         }
+
+
+def _first_match_walk(model, record):
+    """Reference: the cascade spelled out over `Literal.evaluate`."""
+    classes = model.scale.classes
+
+    def fires(dnf):
+        return any(all(lit.evaluate(record) for lit in p.literals) for p in dnf.patterns)
+
+    for stage in model.stages:
+        if fires(stage):
+            return classes[stage.rating_index - 1]
+    if model.scale.fallback_policy == FALLBACK_TO_LAST:
+        return classes[-1]
+    if model.tail is not None and fires(model.tail):
+        return classes[-1]
+    return None
+
+
+def _assert_batch_agrees(model, records):
+    batch = classify_records(model, records)
+    assert batch == [classify(model, r) for r in records]
+    assert batch == [_first_match_walk(model, r) for r in records]
+
+
+SMALL_CLASSES = ("A", "B", "C", "D")
+CODES = ("G", "EX", "C")
+GRID = (0.0, 1.0, 2.0)
+literals = st.builds(
+    Literal, st.sampled_from(CODES), st.sampled_from((">=", "<=")), st.sampled_from(GRID)
+)
+# Empty literal lists give zero-literal patterns, empty pattern lists empty stages.
+pattern_lists = st.lists(
+    st.lists(literals, max_size=3).map(lambda lits: Pattern(literals=tuple(lits))), max_size=3
+)
+values = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, NAN))  # NaN: in-memory NaN
+records = st.lists(
+    st.dictionaries(st.sampled_from(CODES), values).map(lambda v: rec("probe", v)), max_size=8
+)
+
+
+@st.composite
+def hand_built_models(draw):
+    scale = RatingScale(SMALL_CLASSES, fallback_policy=draw(st.sampled_from(POLICIES)))
+    stages = tuple(
+        ClassDnf(k, tuple(draw(pattern_lists))) for k in range(1, len(SMALL_CLASSES))
+    )
+    tail = draw(st.none() | pattern_lists.map(lambda ps: ClassDnf(len(SMALL_CLASSES), tuple(ps))))
+    return CascadeModel(scale=scale, year=2012, stages=stages, tail=tail)
+
+
+def _with_policy(model, policy):
+    return replace(model, scale=RatingScale(model.scale.classes, fallback_policy=policy))
+
+
+def _threshold_probes(model):
+    """Records on, just off and missing each threshold the model uses."""
+    patterns = [p for s in model.stages for p in s.patterns]
+    patterns += model.tail.patterns if model.tail else []
+    cuts = sorted({(lit.indicator, lit.threshold) for p in patterns for lit in p.literals})
+    probes = [rec("none", {}), rec("nan", {code: NAN for code, _ in cuts})]
+    for i, (code, t) in enumerate(cuts):
+        for j, v in enumerate((t - 0.5, t, t + 0.5, NAN)):
+            values = {c: u for c, u in cuts[: i + 1]}  # neighbours on their thresholds
+            values[code] = v
+            probes.append(rec(f"p{i}_{j}", values))
+    return probes
+
+
+class TestClassifyRecords:
+    @given(hand_built_models(), records)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_classify_and_literal_walk(self, model, records):
+        _assert_batch_agrees(model, records)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("make", [three_class_dataset, nested_16_dataset])
+    def test_trained_models(self, make, policy):
+        ds = make()
+        model = train_cascade(replace(ds, scale=RatingScale(ds.scale.classes, policy)))
+        _assert_batch_agrees(model, list(ds.records) + _threshold_probes(model))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_published_tree_with_tail(self, tree_2012_model, policy):
+        model = _with_policy(tree_2012_model, policy)
+        assert model.tail is not None and model.tail.patterns
+        _assert_batch_agrees(model, _threshold_probes(model))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_model_without_patterns(self, policy):
+        scale = RatingScale(SMALL_CLASSES, fallback_policy=policy)
+        model = CascadeModel(scale, 2012, tuple(ClassDnf(k, ()) for k in (1, 2, 3)))
+        expected = "D" if policy == FALLBACK_TO_LAST else None
+        assert classify_records(model, [rec("a", {"G": 1.0}), rec("b", {})]) == [expected] * 2
+
+    def test_zero_literal_pattern_always_matches(self):
+        always = Pattern(literals=())
+        stage1 = ClassDnf(1, (Pattern(literals=(Literal("G", ">=", 5.0),)),))
+        model = CascadeModel(
+            RatingScale(SMALL_CLASSES, fallback_policy=UNCLASSIFIED_POLICY),
+            2012,
+            (stage1, ClassDnf(2, (always,)), ClassDnf(3, ())),
+        )
+        probes = [rec("a", {"G": 9.0}), rec("b", {"G": 1.0}), rec("c", {})]
+        assert classify_records(model, probes) == ["A", "B", "B"]
+
+    def test_no_records(self, tree_2012_model):
+        assert classify_records(tree_2012_model, []) == []
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_boundaries(self, monkeypatch, tree_2012_model, rows):
+        probes = _threshold_probes(tree_2012_model)[:40]
+        expected = [classify(tree_2012_model, r) for r in probes]
+        monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", rows)
+        assert classify_records(tree_2012_model, probes) == expected

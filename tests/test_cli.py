@@ -1,8 +1,18 @@
 import json
+import random
 
 import pytest
 
-from ladrating import serialize_dataset
+from ladrating import (
+    DEFAULT_SCALE,
+    CountryRecord,
+    Dataset,
+    RatingScale,
+    classify,
+    import_decision_tree,
+    load_dataset,
+    serialize_dataset,
+)
 from ladrating.cli import (
     EXIT_CONTRADICTION,
     EXIT_COVERAGE,
@@ -13,7 +23,7 @@ from ladrating.cli import (
 )
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
-from conftest import TREE_DIR
+from conftest import TREE_DIR, TREE_YEARS, tree_text
 
 
 @pytest.fixture
@@ -199,6 +209,7 @@ BAD_INPUTS = {
     "relaxation-config-not-string": (GOOD_CSV, None, '{"relaxation": 5}', EXIT_PARSE),
     "degree-config-not-int": (GOOD_CSV, None, '{"degree": 2.5}', EXIT_PARSE),
     "homogeneity-config-null": (GOOD_CSV, None, '{"homogeneity": null}', EXIT_PARSE),
+    "prevalence-config-string": (GOOD_CSV, None, '{"prevalence": "abc"}', EXIT_PARSE),
 }
 EXTRA_FLAGS = {"relaxation-not-number": ["--relaxation", "abc"]}
 
@@ -243,3 +254,70 @@ def test_malformed_provenance_sidecar_exits_parse(sidecar_text, tmp_path, capsys
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ") and str(sidecar) in err
+
+
+def test_wrong_typed_config_value_names_the_key(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"prevalence": "abc"}')
+    monkeypatch.setenv("LADRATING_CONFIG", str(config))
+    data = tmp_path / "good.csv"
+    data.write_text(GOOD_CSV)
+    argv = ["train", "--data", str(data), "--year", "2012", "--out", str(tmp_path / "m")]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: $LADRATING_CONFIG file {config}: 'prevalence' must be a number, got 'abc'\n"
+    )
+
+
+def _probe_records(n=300, seed=0):
+    """Unrated records on, between and missing the published trees' thresholds."""
+    cuts: dict[str, set] = {}
+    for year in TREE_YEARS:
+        model = import_decision_tree(tree_text(year), DEFAULT_SCALE, year, strict=False)
+        dnfs = model.stages + ((model.tail,) if model.tail else ())
+        for lit in (lit for d in dnfs for p in d.patterns for lit in p.literals):
+            cuts.setdefault(lit.indicator, set()).add(lit.threshold)
+    rng = random.Random(seed)
+    records = []
+    for i in range(n):
+        values = {}
+        for code, thresholds in sorted(cuts.items()):
+            if rng.random() < 0.1:
+                continue  # missing
+            values[code] = rng.choice(sorted(thresholds)) + rng.choice((-0.5, 0.0, 0.0, 0.5))
+        records.append(CountryRecord(f"probe{i:03d}", 2012, values))
+    return records
+
+
+@pytest.mark.parametrize("fallback", [None, "unclassified"])
+@pytest.mark.parametrize("command", ["classify", "suggest"])
+@pytest.mark.parametrize("year", TREE_YEARS)
+def test_data_output_matches_per_record_classify(year, command, fallback, tmp_path, capsys):
+    data = tmp_path / "probes.csv"
+    data.write_text(serialize_dataset(Dataset(records=tuple(_probe_records()))))
+    argv = [command, "--model", str(TREE_DIR / f"tree_{year}.txt"), "--lenient",
+            "--data", str(data)]
+    argv += ["--fallback", fallback] if fallback else []
+    assert main(argv) == EXIT_OK
+    scale = RatingScale(DEFAULT_SCALE.classes, fallback_policy=fallback or "fallback-to-last")
+    model = import_decision_tree(tree_text(year), scale, 0, strict=False)
+    kind = "suggested" if command == "suggest" else "classified"
+    expected = "".join(
+        f"{r.country_id},{r.year},{kind},{classify(model, r) or 'UNCLASSIFIED'}\n"
+        for r in load_dataset(data.read_text()).records
+    )
+    assert capsys.readouterr().out == expected
+
+
+def test_suggest_rejects_a_rated_record_and_writes_nothing(tmp_path, capsys):
+    records = _probe_records(n=20)
+    records[7] = CountryRecord(records[7].country_id, 2012, records[7].values, "AA")
+    data = tmp_path / "probes.csv"
+    data.write_text(serialize_dataset(Dataset(records=tuple(records))))
+    out = tmp_path / "suggested.csv"
+    assert main([
+        "suggest", "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient",
+        "--data", str(data), "--out", str(out),
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: probe007:2012 already carries rating 'AA'\n"
+    assert not out.exists()
