@@ -243,7 +243,8 @@ def _distinct_pairs(
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One opaque byte-string key per row, for sorting and searching rows."""
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    width = rows.shape[1] * rows.itemsize
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
 
 
 def _column_counts(pairs: np.ndarray, rows: np.ndarray, n_columns: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def train_cascade(
         try:
             cuts = minimize_cutpoints(candidates, labeled)
         except LadError as exc:
-            exc.args = (f"{prefix}: {exc}",)
+            exc.stage = prefix
             raise
         view = binarize(labeled, cuts)
         dnf = select_dnf(view, config, rating_index=k)

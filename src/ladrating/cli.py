@@ -45,6 +45,7 @@ from .errors import (
     CoverageError,
     DataFormatError,
     DecisionTreeParseError,
+    LadError,
 )
 from .evaluate import evaluate, render_report
 from .patterns import MiningConfig
@@ -58,9 +59,20 @@ EXIT_IO = 6
 CONFIG_ENV = "LADRATING_CONFIG"
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at `path`; bytes that do not decode are a
+    data error naming the path and the offset of the first of them."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text at byte offset {exc.start} ({exc.reason})"
+        ) from None
+
+
 def _read_json_object(path: Path, what: str) -> dict:
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{what} {path}: {exc}") from None
     if not isinstance(obj, dict):
@@ -149,7 +161,7 @@ def _write_bundle(out: Path, model: CascadeModel, fallback: str):
 
 def _load_model(args) -> CascadeModel:
     path = Path(args.model)
-    text = path.read_text()
+    text = _read_text(path)
     prov = {}
     sidecar = path.with_suffix("").with_suffix(".provenance.json")
     if path.name.endswith(".tree.txt") and sidecar.exists():
@@ -185,14 +197,14 @@ def _parse_country_values(spec: str) -> CountryRecord:
 def _records_to_classify(args, scale: RatingScale):
     if args.country_values:
         return [_parse_country_values(args.country_values)]
-    dataset = load_dataset(Path(args.data).read_text(), scale)
+    dataset = load_dataset(_read_text(args.data), scale)
     return list(dataset.records)
 
 
 def cmd_train(args) -> int:
     config = _mining_config(args)
     scale = _scale(args.fallback)
-    dataset = load_dataset(Path(args.data).read_text(), scale)
+    dataset = load_dataset(_read_text(args.data), scale)
     if args.split_fraction is not None:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
     model = train_cascade(dataset, config, year=args.year)
@@ -232,7 +244,7 @@ def cmd_suggest(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = _load_model(args)
-    dataset = load_dataset(Path(args.data).read_text(), model.scale)
+    dataset = load_dataset(_read_text(args.data), model.scale)
     if args.split_fraction is not None:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
     report = evaluate(model, dataset)
@@ -270,7 +282,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_import_tree(args) -> int:
-    text = Path(args.file).read_text()
+    text = _read_text(args.file)
     model = import_decision_tree(
         text, _scale(args.fallback), args.year, strict=not args.lenient
     )
@@ -390,18 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_stage(exc: LadError) -> str:
+    """The error's message, after the training stage that raised it, if any."""
+    return f"{exc.stage}: {exc}" if exc.stage else str(exc)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (DecisionTreeParseError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_with_stage(exc)}", file=sys.stderr)
         return EXIT_PARSE
     except ContradictionError as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
+        print(f"contradiction: {_with_stage(exc)}", file=sys.stderr)
         return EXIT_CONTRADICTION
     except CoverageError as exc:
-        print(f"coverage failure: {exc}", file=sys.stderr)
+        print(f"coverage failure: {_with_stage(exc)}", file=sys.stderr)
         return EXIT_COVERAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

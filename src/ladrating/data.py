@@ -185,7 +185,18 @@ def load_dataset(
         header = next(reader)
     except StopIteration:
         raise DataFormatError("empty input: header row required") from None
+    if header:
+        # A UTF-8 byte order mark decodes to U+FEFF ahead of the first name.
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
+    first_at: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in first_at:
+            raise DataFormatError(
+                f"header repeats column {name!r} at positions {first_at[name] + 1} and {i + 1}"
+            )
+        if name:
+            first_at[name] = i
 
     for required in RESERVED_COLUMNS[:2]:
         if required not in header:

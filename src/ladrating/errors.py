@@ -7,7 +7,13 @@ from typing import Any
 
 
 class LadError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `stage` names the cascade stage whose training raised the error, as in
+    "stage 1 (AAA)", and is None elsewhere; the message leaves it out.
+    """
+
+    stage: str | None = None
 
 
 class DataFormatError(LadError):

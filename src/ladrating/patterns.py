@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .binarize import BinaryView, Literal
+from .binarize import BinaryView, Literal, _row_keys
 from .data import CountryRecord
 from .errors import DataFormatError
 
@@ -86,20 +87,95 @@ class MiningConfig:
                 raise DataFormatError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
-def _literal_pool(view: BinaryView) -> list[tuple[Literal, np.ndarray]]:
-    """Both directions per cut-point column, with their truth vectors.
+#: Byte budget of one chunk of candidate conjunctions: their gathered packed
+#: truth rows while they are ANDed and counted.
+_CHUNK_BYTES = 1 << 20
 
-    The >=-literal is the column itself; the <=-literal (same threshold)
-    holds where the value is present and below it. Order: column index, >=
-    before <=.
+
+def _literal_table(view: BinaryView) -> tuple[list[Literal], np.ndarray, np.ndarray]:
+    """Both directions per cut-point column: the literals, one group id per
+    (indicator, direction) pair, and one packed truth row per literal.
+
+    The >=-literal holds where the column does; the <=-literal (same
+    threshold) where the value is present and below it. Order: column index,
+    >= before <=. Row i is `np.packbits` of literal i's truth over the
+    records, so bit r of a row (big bit order) is record r.
     """
-    pool = []
-    for j, cp in enumerate(view.cutpoints):
-        col = view.matrix[:, j]
-        absent = view.missing[:, j]
-        pool.append((Literal(cp.indicator, ">=", cp.threshold), col & ~absent))
-        pool.append((Literal(cp.indicator, "<=", cp.threshold), ~col & ~absent))
-    return pool
+    literals: list[Literal] = []
+    group_ids: dict[tuple[str, str], int] = {}
+    groups: list[int] = []
+    for cp in view.cutpoints:
+        for direction in (">=", "<="):
+            literals.append(Literal(cp.indicator, direction, cp.threshold))
+            groups.append(group_ids.setdefault((cp.indicator, direction), len(group_ids)))
+    present = ~view.missing
+    truth = np.empty((len(literals), len(view.record_ids)), dtype=bool)
+    truth[0::2] = (view.matrix & present).T
+    truth[1::2] = (~view.matrix & present).T
+    return literals, np.array(groups, dtype=np.intp), np.packbits(truth, axis=1)
+
+
+def _conjunctions(
+    rows: np.ndarray, groups: np.ndarray, labels: np.ndarray, config: MiningConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conjunctions of `rows` meeting the floors of `config`, as literal
+    index rows padded with -1, in (degree, combinations) order, with their
+    positive and negative counts.
+
+    Only frequent conjunctions, those covering a positive and meeting the
+    prevalence floor, are extended to the next degree: adding a literal
+    never raises coverage, so no other one has an accepted extension.
+    """
+    pos, neg = np.packbits(labels), np.packbits(~labels)
+    total_pos = int(labels.sum())
+
+    def frequent(combos, covers):
+        cp = np.bitwise_count(covers & pos).sum(axis=1, dtype=np.int64)
+        keep = (cp > 0) & (cp / total_pos + _EPS >= config.min_prevalence)
+        return combos[keep], covers[keep], cp[keep]
+
+    found = []
+    level = [frequent(np.arange(len(rows))[:, None], rows)]
+    for degree in range(1, config.max_degree + 1):
+        combos, covers, cp = (np.concatenate(part) for part in zip(*level))
+        cn = np.bitwise_count(covers & neg).sum(axis=1, dtype=np.int64)
+        pure = cp / (cp + cn) + _EPS >= config.min_homogeneity
+        keys = np.full((int(pure.sum()), config.max_degree), -1, dtype=np.intp)
+        keys[:, :degree] = combos[pure]
+        found.append((keys, cp[pure], cn[pure]))
+        if degree == config.max_degree or not len(combos):
+            break
+        level = [frequent(*chunk) for chunk in _extensions(combos, covers, rows, groups)]
+        if not level:
+            break
+    keys, cp, cn = (np.concatenate(part) for part in zip(*found))
+    return keys, cp, cn
+
+
+def _extensions(
+    prefixes: np.ndarray, covers: np.ndarray, rows: np.ndarray, groups: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each prefix conjunction (literal index row, packed cover) extended by
+    every later literal of a group it lacks, in combinations order, as
+    chunks of (index rows, packed covers) of at most `_CHUNK_BYTES` of
+    covers. A second literal of one (indicator, direction) group is
+    redundant.
+    """
+    n_literals, width = rows.shape
+    per_chunk = max(1, _CHUNK_BYTES // max(1, width))
+    # Prefix i extends by literals last[i] + 1 onwards, which are flat
+    # indices ends[i] - counts[i] onwards.
+    last = prefixes[:, -1]
+    counts = n_literals - 1 - last
+    ends = np.cumsum(counts)
+    offset = ends - counts - last - 1
+    for lo in range(0, int(ends[-1]), per_chunk):
+        flat = np.arange(lo, min(lo + per_chunk, int(ends[-1])))
+        p = np.searchsorted(ends, flat, side="right")
+        j = flat - offset[p]
+        fresh = (groups[prefixes[p]] != groups[j, None]).all(axis=1)
+        p, j = p[fresh], j[fresh]
+        yield np.concatenate((prefixes[p], j[:, None]), axis=1), covers[p] & rows[j]
 
 
 def enumerate_patterns(
@@ -113,58 +189,79 @@ def enumerate_patterns(
     an interval (>= plus <=) is allowed. With `prune` set, a pattern is
     dropped when a proper sub-pattern already meets both floors (prime
     patterns only); disable for oracle comparisons.
+
+    Each literal's truth over the records is one packed bit row
+    (`np.packbits`); a conjunction's cover is the AND of its rows, and its
+    positive and negative counts are `np.bitwise_count` of that cover
+    against the packed labels. Degree by degree, candidates are literal
+    index rows in `itertools.combinations` order over the literals
+    (cut-point column, then >= before <=), so the result keeps that order.
+    Only conjunctions covering a positive and meeting the prevalence floor
+    are extended to the next degree, as no extension of another one can be
+    accepted. Memory is bounded by those conjunctions of two consecutive
+    degrees, at 8 x degree + ceil(records / 8) bytes each for their indices
+    and packed covers, plus one chunk of candidates: its packed covers take
+    at most `_CHUNK_BYTES`, its temporaries a small multiple of that.
     """
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
-    pool = _literal_pool(view)
-    labels = view.labels
-
-    accepted: list[Pattern] = []
-    for degree in range(1, config.max_degree + 1):
-        for combo in itertools.combinations(range(len(pool)), degree):
-            dirs = {(pool[i][0].indicator, pool[i][0].direction) for i in combo}
-            if len(dirs) != degree:
-                continue
-            cover = pool[combo[0]][1]
-            for i in combo[1:]:
-                cover = cover & pool[i][1]
-            cp = int((cover & labels).sum())
-            if cp == 0:
-                continue
-            cn = int((cover & ~labels).sum())
-            prevalence = cp / total_pos
-            homogeneity = cp / (cp + cn)
-            if prevalence + _EPS < config.min_prevalence:
-                continue
-            if homogeneity + _EPS < config.min_homogeneity:
-                continue
-            accepted.append(
-                Pattern(
-                    literals=tuple(pool[i][0] for i in combo),
-                    covered_positives=cp,
-                    covered_negatives=cn,
-                    prevalence=prevalence,
-                    homogeneity=homogeneity,
-                )
-            )
-    return _prime(accepted, config.min_prevalence) if prune else accepted
-
-
-def _prime(patterns: Sequence[Pattern], floor: float) -> list[Pattern]:
-    """The patterns meeting the prevalence `floor` none of whose proper
-    sub-patterns meets it, in their given order. A pattern with a qualifying
-    sub-pattern always has a prime one: its smallest qualifying sub-pattern.
-    """
-    meets = {p.literals for p in patterns if p.prevalence + _EPS >= floor}
+    literals, groups, rows = _literal_table(view)
+    keys, cp, cn = _conjunctions(rows, groups, view.labels, config)
+    if prune:
+        prevalence = cp / total_pos
+        prime = _prime(prevalence, _best_sub_prevalence(keys, prevalence), config.min_prevalence)
+        keys, cp, cn = keys[prime], cp[prime], cn[prime]
     return [
-        p
-        for p in patterns
-        if p.literals in meets
-        and all(
-            meets.isdisjoint(itertools.combinations(p.literals, d)) for d in range(1, p.degree)
+        Pattern(
+            literals=tuple(literals[i] for i in row if i >= 0),
+            covered_positives=c_p,
+            covered_negatives=c_n,
+            prevalence=c_p / total_pos,
+            homogeneity=c_p / (c_p + c_n),
         )
+        for row, c_p, c_n in zip(keys.tolist(), cp.tolist(), cn.tolist())
     ]
+
+
+def _best_sub_prevalence(keys: np.ndarray, prevalence: np.ndarray) -> np.ndarray:
+    """Per listed conjunction, the highest prevalence among the listed
+    conjunctions that are its proper sub-conjunctions; -inf when none is.
+
+    `keys` holds one row of literal indices per conjunction, padded with -1;
+    a sub-conjunction keeps the order of its literals, as enumeration does.
+    """
+    best = np.full(len(keys), -np.inf)
+    degree = (keys >= 0).sum(axis=1)
+    if not (degree > 1).any():
+        return best
+    listed = _row_keys(keys)
+    order = np.argsort(listed)
+    listed = listed[order]
+    width = keys.shape[1]
+    for d in range(2, width + 1):
+        rows = np.flatnonzero(degree == d)
+        if not len(rows):
+            continue
+        block = keys[rows]
+        for size in range(1, d):
+            for kept in itertools.combinations(range(d), size):
+                sub = np.full((len(rows), width), -1, dtype=keys.dtype)
+                sub[:, :size] = block[:, kept]
+                sub_keys = _row_keys(sub)
+                at = np.searchsorted(listed, sub_keys).clip(max=len(listed) - 1)
+                hit = listed[at] == sub_keys
+                best[rows[hit]] = np.maximum(best[rows[hit]], prevalence[order[at[hit]]])
+    return best
+
+
+def _prime(prevalence: np.ndarray, best_sub: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the prime patterns at prevalence `floor`: those meeting it
+    none of whose listed proper sub-patterns meets it. A pattern with a
+    qualifying sub-pattern always has a prime one: its smallest qualifying
+    sub-pattern.
+    """
+    return (prevalence + _EPS >= floor) & ~(best_sub + _EPS >= floor)
 
 
 def select_dnf(
@@ -176,56 +273,76 @@ def select_dnf(
     """Greedy minimum cover of the positive records by prime patterns.
 
     Patterns are enumerated once, unpruned, at the lowest floor the
-    relaxation schedule reaches; each floor takes its prime patterns from
-    that list, and positive covers are computed only for those, once per
-    pattern. Repeatedly takes the pattern covering the most uncovered
-    positives (ties: higher homogeneity, fewer literals, then enumeration
-    order). When the coverage target cannot be met, the prevalence floor is
-    relaxed along the schedule, skipping steps at or above the current
-    floor, as they could add no coverage. A still-unmet target yields a
-    partial DNF with its uncovered records flagged.
+    relaxation schedule reaches. Each pattern's best proper-sub-pattern
+    prevalence in that list is found once, so each floor's prime pool is
+    one comparison. Repeatedly takes the pattern covering the most
+    uncovered positives; ties go to higher homogeneity, then fewer
+    literals, then enumeration order. When the coverage target cannot be
+    met, the prevalence floor is relaxed along the schedule, skipping steps
+    at or above the current floor, as they could add no coverage. A
+    still-unmet target yields a partial DNF with its uncovered records
+    flagged.
+
+    Positive covers are one packed matrix built from the literal table, a
+    row of ceil(records / 8) bytes per listed pattern, and each pick's
+    gains are one `np.bitwise_count` of the pool's rows against the
+    still-uncovered bits. Memory beyond enumeration's is that matrix plus
+    the literal index rows, 8 x max_degree bytes per pattern.
     """
     labels = view.labels
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest, prune=False)
-    truth = dict(_literal_pool(view))
-    covers: dict[tuple[Literal, ...], np.ndarray] = {}  # positive covers, by literals
+    literals, _, rows = _literal_table(view)
+    # Literals are looked up by their fields: a dataclass hash runs in Python.
+    fields = attrgetter("indicator", "direction", "threshold")
+    index = {fields(lit): i for i, lit in enumerate(literals)}
+    pad = [-1] * config.max_degree
+    keys = np.array(
+        [[index[fields(lit)] for lit in p.literals] + pad[p.degree:] for p in patterns],
+        dtype=np.intp,
+    ).reshape(len(patterns), config.max_degree)
+    prevalence = np.array([p.prevalence for p in patterns], dtype=float)
+    best_sub = _best_sub_prevalence(keys, prevalence)
+    # Row -1 of the table is always true, so padding leaves covers unchanged.
+    rows = np.vstack((rows, np.full(rows.shape[1], 0xFF, dtype=np.uint8)))
+    covers = np.repeat(np.packbits(labels)[None, :], len(patterns), axis=0)
+    for column in keys.T:
+        covers &= rows[column]
+    homogeneity = np.array([p.homogeneity for p in patterns], dtype=float)
+    degree = (keys >= 0).sum(axis=1)
+    # lexsort is stable, so enumeration order breaks the remaining ties.
+    tie_order = np.lexsort((degree, -homogeneity))
 
     selected: list[Pattern] = []
-    selected_cover = np.zeros(len(view.record_ids), dtype=bool)
+    covered = np.zeros(rows.shape[1], dtype=np.uint8)
+    n_covered = 0
     relaxations: list[float] = []
     schedule = iter(config.relaxation_schedule)
 
     while True:
-        pool = _prime(patterns, floor)
-        for p in pool:
-            if p.literals not in covers:
-                covers[p.literals] = np.logical_and.reduce(
-                    [labels, *(truth[lit] for lit in p.literals)]
-                )
-        while selected_cover.sum() + _EPS < target:
-            gains = [int((covers[p.literals] & ~selected_cover).sum()) for p in pool]
-            if not any(gains):
+        pool = tie_order[_prime(prevalence, best_sub, floor)[tie_order]]
+        while n_covered + _EPS < target:
+            gains = np.bitwise_count(covers[pool] & ~covered).sum(axis=1)
+            # Gains only shrink, so a pattern with none drops out for good.
+            pool, gains = pool[gains > 0], gains[gains > 0]
+            if not len(pool):
                 break
-            # min() keeps the first of equal keys: enumeration order breaks ties.
-            best = min(
-                range(len(pool)), key=lambda i: (-gains[i], -pool[i].homogeneity, pool[i].degree)
-            )
-            selected.append(pool[best])
-            selected_cover |= covers[pool[best].literals]
-        if selected_cover.sum() + _EPS >= target:
+            # argmax keeps the first of equal gains: the tie order decides.
+            best = int(np.argmax(gains))
+            selected.append(patterns[pool[best]])
+            covered |= covers[pool[best]]
+            n_covered += int(gains[best])
+        if n_covered + _EPS >= target:
             break
         floor = next((step for step in schedule if step < floor), None)
         if floor is None:
             break
         relaxations.append(floor)
 
-    uncovered = tuple(
-        view.record_ids[i]
-        for i in np.flatnonzero(labels & ~selected_cover)
-    )
+    reached = np.unpackbits(covered, count=len(labels)).astype(bool)
+    uncovered = tuple(view.record_ids[i] for i in np.flatnonzero(labels & ~reached))
     return ClassDnf(
         rating_index=rating_index,
         patterns=tuple(selected),

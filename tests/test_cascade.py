@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ladrating import (
     CascadeModel,
     ClassDnf,
+    ContradictionError,
     CountryRecord,
     DataFormatError,
     DEFAULT_SCALE,
@@ -95,6 +96,14 @@ class TestTrain:
         a = train_cascade(nested_16_dataset())
         b = train_cascade(nested_16_dataset())
         assert a == b
+
+    def test_contradiction_carries_its_stage(self):
+        ds = Dataset(records=(rec("X", {"G": 1.0}, "AAA"), rec("Y", {"G": 1.0}, "BM")))
+        with pytest.raises(ContradictionError) as info:
+            train_cascade(ds)
+        assert info.value.stage == "stage 1 (AAA)"
+        assert str(info.value).startswith("opposite-class records")
+        assert info.value.pairs == [("X:2012", "Y:2012")]
 
 
 class TestClassify:

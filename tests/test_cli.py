@@ -210,6 +210,9 @@ BAD_INPUTS = {
     "degree-config-not-int": (GOOD_CSV, None, '{"degree": 2.5}', EXIT_PARSE),
     "homogeneity-config-null": (GOOD_CSV, None, '{"homogeneity": null}', EXIT_PARSE),
     "prevalence-config-string": (GOOD_CSV, None, '{"prevalence": "abc"}', EXIT_PARSE),
+    "repeated-header-column": (
+        "country,year,rating,G,G\nX,2012,AAA,1,1\nY,2012,BM,2,2\n", None, None, EXIT_PARSE
+    ),
 }
 EXTRA_FLAGS = {"relaxation-not-number": ["--relaxation", "abc"]}
 
@@ -234,6 +237,27 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_data_names_path_and_byte_offset(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(GOOD_CSV.replace("X,", "Curaçao,").encode("latin-1"))
+    offset = GOOD_CSV.index("X,") + len("Cura")
+    code = main(["train", "--data", str(data), "--year", "2012", "--out", str(tmp_path / "m")])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: not UTF-8 text at byte offset {offset} ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_byte_order_mark_before_header_trains(tmp_path, capsys):
+    data = tmp_path / "bom.csv"
+    data.write_text(GOOD_CSV, encoding="utf-8-sig")
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(data), "--year", "2012", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert "AAA\t(G <= 1.5)\n" in (tmp_path / "m.tree.txt").read_text()
 
 
 @pytest.mark.parametrize("sidecar_text", ["{bad", "[]"])

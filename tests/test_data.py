@@ -44,6 +44,14 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="ZZZ"):
             load_dataset("country,year,rating,G\nX,2012,ZZZ,1\n")
 
+    def test_repeated_column_names_both_positions(self):
+        with pytest.raises(DataFormatError, match=r"repeats column 'G' at positions 4 and 5"):
+            load_dataset("country,year,rating,G,G\nX,2012,AAA,1,2\n")
+
+    def test_byte_order_mark_before_header_is_dropped(self):
+        ds = load_dataset("\ufeffcountry,year,rating,G\nX,2012,AAA,1\n")
+        assert ds.records == (CountryRecord("X", 2012, {"G": 1.0}, "AAA"),)
+
     def test_unknown_column_warned_and_ignored(self):
         warnings = []
         ds = load_dataset(

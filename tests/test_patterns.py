@@ -21,7 +21,8 @@ from ladrating import (
     select_dnf,
 )
 from ladrating.binarize import BinaryView
-from ladrating.patterns import _EPS, _literal_pool
+from ladrating import patterns as patterns_module
+from ladrating.patterns import _EPS
 
 
 def rec(values, country="x"):
@@ -337,7 +338,25 @@ def test_select_dnf_covers_agree_with_pattern_matches(
 
 # --- reference: enumeration and selection before patterns were enumerated ---
 # once per stage. Verbatim but for the names: every relaxation step
-# re-enumerates, and pruning scans the prime patterns accepted so far.
+# re-enumerates, and pruning scans the prime patterns accepted so far. Truth
+# vectors come from `_literal_pool`, the unpacked literal pool enumeration
+# used before it moved to packed bit rows, also verbatim.
+
+def _literal_pool(view: BinaryView) -> list[tuple[Literal, np.ndarray]]:
+    """Both directions per cut-point column, with their truth vectors.
+
+    The >=-literal is the column itself; the <=-literal (same threshold)
+    holds where the value is present and below it. Order: column index, >=
+    before <=.
+    """
+    pool = []
+    for j, cp in enumerate(view.cutpoints):
+        col = view.matrix[:, j]
+        absent = view.missing[:, j]
+        pool.append((Literal(cp.indicator, ">=", cp.threshold), col & ~absent))
+        pool.append((Literal(cp.indicator, "<=", cp.threshold), ~col & ~absent))
+    return pool
+
 
 def _reference_enumerate(
     view: BinaryView, config: MiningConfig, *, prune: bool = True
@@ -507,6 +526,10 @@ def test_matches_reference_enumeration_and_selection(
         dnf_coverage_target=target,
         relaxation_schedule=schedule,
     )
+    assert_matches_reference(view, config)
+
+
+def assert_matches_reference(view, config):
     for prune in (True, False):
         assert enumerate_patterns(view, config, prune=prune) == _reference_enumerate(
             view, config, prune=prune
@@ -515,3 +538,88 @@ def test_matches_reference_enumeration_and_selection(
         _reference_enumerate(view, config), view, config, rating_index=3
     )
     assert select_dnf(view, config, rating_index=3) == expected
+
+
+def random_view(rng, cuts, n_records):
+    """Records over the indicators of `cuts` (code -> thresholds), 20% of
+    values missing, classes drawn at random; at least one positive."""
+    records = []
+    for i in range(n_records):
+        values = {
+            code: float(rng.randrange(len(ts) + 1))
+            for code, ts in cuts.items()
+            if rng.random() >= 0.2
+        }
+        records.append((rec(values, country=f"c{i}"), i == 0 or rng.random() < 0.4))
+    cutpoints = [CutPoint(code, t) for code, ts in sorted(cuts.items()) for t in ts]
+    return binarize(records, cutpoints)
+
+
+CHUNK_CONFIGS = [
+    MiningConfig(max_degree=3, min_prevalence=0.7, min_homogeneity=0.75),
+    MiningConfig(max_degree=2, min_prevalence=0.5, dnf_coverage_target=0.8),
+    MiningConfig(max_degree=3, min_prevalence=1 / 3, relaxation_schedule=(0.2, 0.0)),
+]
+
+
+@pytest.mark.parametrize("config", CHUNK_CONFIGS)
+def test_chunked_enumeration_matches_reference(monkeypatch, config):
+    # One byte per chunk: every candidate conjunction is a chunk of its own.
+    monkeypatch.setattr(patterns_module, "_CHUNK_BYTES", 1)
+    rng = random.Random(11)
+    for _ in range(8):
+        view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14)
+        assert_matches_reference(view, config)
+
+
+def bits_view(rows):
+    """rows: ((C, EX, G) values, label); one cut point at 0.5 on each."""
+    records = [
+        (rec(dict(zip(("C", "EX", "G"), map(float, values))), country=f"c{i}"), label)
+        for i, (values, label) in enumerate(rows)
+    ]
+    return binarize(records, [CutPoint(code, 0.5) for code in ("C", "EX", "G")])
+
+
+def test_pruning_looks_past_the_sub_patterns_one_literal_shorter():
+    # (C, EX, G) is pure, but its only listed sub-pattern is C (homogeneity
+    # 0.7): the three pairs fall below the homogeneity floor.
+    rows = [((1, 1, 1), True)] + [((1, 0, 0), True)] * 6
+    rows += [((1, 1, 0), False)] * 2 + [((1, 0, 1), False)] + [((0, 1, 1), False)] * 2
+    view = bits_view(rows)
+    config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.7)
+    triple = tuple(Literal(code, ">=", 0.5) for code in ("C", "EX", "G"))
+    assert triple in {p.literals for p in enumerate_patterns(view, config, prune=False)}
+    assert triple not in {p.literals for p in enumerate_patterns(view, config)}
+    assert_matches_reference(view, config)
+
+
+def test_equal_gains_go_to_homogeneity_before_degree():
+    # C covers every positive at homogeneity 0.75; (EX, G) covers them all
+    # at 1.0, and neither EX nor G alone reaches the homogeneity floor.
+    rows = [((1, 1, 1), True)] * 3
+    rows += [((1, 1, 0), False), ((0, 0, 1), False), ((0, 1, 0), False), ((0, 0, 1), False)]
+    view = bits_view(rows)
+    config = MiningConfig(
+        max_degree=2, min_prevalence=1.0, min_homogeneity=0.7, relaxation_schedule=()
+    )
+    dnf = select_dnf(view, config)
+    assert [p.literals for p in dnf.patterns] == [
+        (Literal("EX", ">=", 0.5), Literal("G", ">=", 0.5))
+    ]
+    assert_matches_reference(view, config)
+
+
+def test_many_cuts_on_one_indicator_match_reference():
+    # 12 cut points on G: most conjunctions repeat (G, >=) or (G, <=).
+    rng = random.Random(5)
+    cuts = {"G": [t + 0.5 for t in range(12)], "EX": [0.5, 1.5]}
+    config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.75)
+    for n_records in (12, 20, 30):
+        view = random_view(rng, cuts, n_records)
+        groups = [(cp.indicator, d) for cp in view.cutpoints for d in (">=", "<=")]
+        combos = list(itertools.combinations(groups, config.max_degree))
+        repeated = sum(1 for combo in combos if len(set(combo)) < len(combo))
+        assert repeated > 0.75 * len(combos)
+        assert_matches_reference(view, config)
+        assert any(p.degree > 1 for p in enumerate_patterns(view, config, prune=False))
