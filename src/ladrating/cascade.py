@@ -11,7 +11,9 @@ row under the unclassified policy).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,6 +37,12 @@ TOOL_VERSION = "0.1.0"
 #: Records per block in `classify_records`; its arrays then take under
 #: 1 MB on the published trees.
 _BLOCK_ROWS = 256
+
+_NAN = math.nan
+
+#: One literal as a closed interval: it holds iff the record has a value
+#: for `code` and `lo <= value <= hi`.
+Check = tuple[str, float, float]
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,40 @@ class CascadeModel:
                     f"stage {k} carries rating index {stage.rating_index}"
                 )
 
+    @cached_property
+    def _first_match(self) -> tuple[tuple[Optional[str], tuple[Check, ...]], ...]:
+        """The model as one first-match table: `(label, checks)` per pattern.
+
+        Order: the stages' patterns in stage order; then the tail's, under
+        the unclassified policy only; last a zero-literal entry, which always
+        holds, carrying the fallback (the last class, or None). A record
+        takes the label of the first entry whose checks all hold.
+
+        Each check is `(code, lo, hi)`: a `>= t` literal is `(code, t, +inf)`,
+        a `<= t` literal `(code, -inf, t)`. A missing value or a NaN fails
+        both comparisons; with ±inf values or thresholds every check gives
+        what `Literal.evaluate` gives. Built on first use, once per model:
+        the model is frozen, so nothing invalidates it.
+        """
+        classes = self.scale.classes
+        entries = [(classes[s.rating_index - 1], p) for s in self.stages for p in s.patterns]
+        if self.scale.fallback_policy == FALLBACK_TO_LAST:
+            fallback = classes[-1]
+        else:
+            fallback = None
+            if self.tail is not None:
+                entries += [(classes[-1], p) for p in self.tail.patterns]
+        table = [
+            (label, tuple(
+                (lit.indicator, lit.threshold, math.inf) if lit.direction == ">="
+                else (lit.indicator, -math.inf, lit.threshold)
+                for lit in p.literals
+            ))
+            for label, p in entries
+        ]
+        table.append((fallback, ()))
+        return tuple(table)
+
 
 def dataset_fingerprint(dataset: Dataset) -> str:
     return hashlib.sha256(serialize_dataset(dataset).encode()).hexdigest()[:16]
@@ -82,8 +124,13 @@ def train_cascade(
     rest negative; the binarizer picks a minimal cut-point set for that
     labeling and the pattern engine builds the stage DNF. Boundaries where
     one side is empty become empty stages with a note. Relaxations and
-    uncovered positives are recorded in the model notes.
+    uncovered positives are recorded in the model notes. A NaN or infinite
+    value anywhere in the dataset is a DataFormatError, as in `load_dataset`.
     """
+    for record in dataset.records:
+        for code, v in record.values.items():
+            if not math.isfinite(v):
+                raise DataFormatError(f"{record.record_id} ({code}): non-finite value {v!r}")
     scale = dataset.scale
     train = dataset.train_records
     observed = {r.observed_rating for r in train}
@@ -133,15 +180,21 @@ def train_cascade(
 
 
 def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
-    """Rating of the first matching stage; None means Unclassified."""
-    for stage in model.stages:
-        if stage.matches(record):
-            return model.scale.classes[stage.rating_index - 1]
-    if model.scale.fallback_policy == FALLBACK_TO_LAST:
-        return model.scale.classes[-1]
-    if model.tail is not None and model.tail.matches(record):
-        return model.scale.classes[-1]
-    return None
+    """Rating of the first matching stage; None means Unclassified.
+
+    Walks the model's first-match table (`CascadeModel._first_match`): the
+    label of the first entry whose `(code, lo, hi)` checks all hold, where a
+    missing value or a NaN holds for none. The references it must agree with
+    are the stage walks over `Literal.evaluate`: `ClassDnf.matches`, and the
+    oracles in the tests and the benchmark.
+    """
+    get = record.values.get
+    for label, checks in model._first_match:
+        for code, lo, hi in checks:
+            if not lo <= get(code, _NAN) <= hi:
+                break
+        else:
+            return label
 
 
 def classify_records(
@@ -149,48 +202,36 @@ def classify_records(
 ) -> list[Optional[str]]:
     """`classify` of every record, computed as arrays.
 
-    The model is lowered into one flat literal list (indicator column,
-    threshold, `>=` flag) cut into patterns. Patterns keep first-match order:
-    the stages' patterns in stage order, then, under the unclassified policy
-    only, the tail's; last comes a zero-literal pattern, which always holds,
-    carrying the fallback (the last class, or None for Unclassified). A
-    record takes the label of its first matching pattern.
+    The model's first-match table (`CascadeModel._first_match`) is flattened
+    into arrays: per check, its indicator column, `lo` and `hi`; per entry,
+    its slice of the checks and its label. A record takes the label of its
+    first entry whose checks all hold, `lo <= x <= hi`; the last entry has
+    none and carries the fallback.
 
-    A missing value, and an in-memory NaN, read as NaN, which satisfies
-    neither direction, as in `Literal.evaluate`. Records go through in
-    blocks of `_BLOCK_ROWS`, so the arrays held at once take about
-    `_BLOCK_ROWS` x (indicators + 2 x literals) x 8 bytes, whatever the
-    number of records.
+    A missing value, and an in-memory NaN, read as NaN, which fails both
+    comparisons. Records go through in blocks of `_BLOCK_ROWS`, so the
+    arrays held at once take about `_BLOCK_ROWS` x (indicators + 2 x checks)
+    x 8 bytes, whatever the number of records.
     """
-    classes = model.scale.classes
-    last = classes[-1]
-    labeled = [(classes[s.rating_index - 1], p) for s in model.stages for p in s.patterns]
-    if model.scale.fallback_policy == FALLBACK_TO_LAST:
-        fallback = last
-    else:
-        fallback = None
-        if model.tail is not None:
-            labeled += [(last, p) for p in model.tail.patterns]
-    labeled.append((fallback, Pattern(literals=())))
-    literals = [lit for _, p in labeled for lit in p.literals]
-    codes = sorted({lit.indicator for lit in literals})
-    column = np.array([codes.index(lit.indicator) for lit in literals], dtype=np.intp)
-    threshold = np.array([lit.threshold for lit in literals], dtype=float)
-    ge = np.array([lit.direction == ">=" for lit in literals], dtype=bool)
-    # Pattern p owns literals bounds[p]:bounds[p + 1].
-    bounds = np.cumsum([0] + [p.degree for _, p in labeled])
-    labels = [label for label, _ in labeled]
+    table = model._first_match
+    checks = [check for _, entry in table for check in entry]
+    codes = sorted({code for code, _, _ in checks})
+    column = np.array([codes.index(code) for code, _, _ in checks], dtype=np.intp)
+    lo = np.array([check[1] for check in checks], dtype=float)
+    hi = np.array([check[2] for check in checks], dtype=float)
+    # Entry e owns checks bounds[e]:bounds[e + 1].
+    bounds = np.cumsum([0] + [len(entry) for _, entry in table])
+    labels = [label for label, _ in table]
 
     out: list[Optional[str]] = []
-    nan = float("nan")
     for start in range(0, len(records), _BLOCK_ROWS):
         block = records[start:start + _BLOCK_ROWS]
         values = np.array(
-            [[r.values.get(code, nan) for code in codes] for r in block], dtype=float
+            [[r.values.get(code, _NAN) for code in codes] for r in block], dtype=float
         )[:, column]
-        truth = np.where(ge, values >= threshold, values <= threshold)
-        # Literals holding so far; a pattern matches when all of its own hold.
-        held = np.zeros((len(block), len(literals) + 1), dtype=np.int32)
+        truth = (lo <= values) & (values <= hi)
+        # Checks holding so far; an entry matches when all of its own hold.
+        held = np.zeros((len(block), len(checks) + 1), dtype=np.int32)
         np.cumsum(truth, axis=1, out=held[:, 1:])
         matches = held[:, bounds[1:]] - held[:, bounds[:-1]] == np.diff(bounds)
         out += [labels[i] for i in matches.argmax(axis=1)]

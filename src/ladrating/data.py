@@ -117,9 +117,6 @@ class CountryRecord:
     def record_id(self) -> str:
         return f"{self.country_id}:{self.year}"
 
-    def value(self, code: str) -> Optional[float]:
-        return self.values.get(code)
-
 
 @dataclass(frozen=True)
 class Split:
@@ -159,28 +156,29 @@ class Dataset:
 
 RESERVED_COLUMNS = ("country", "year", "rating")
 
+#: Years `load_dataset` accepts, inclusive.
+YEAR_RANGE = (1900, 2100)
+
 
 def load_dataset(
     source: IO[str] | str,
     scale: RatingScale = DEFAULT_SCALE,
     *,
-    delimiter: str = ",",
-    registry: Mapping[str, Indicator] = DEFAULT_REGISTRY,
-    year_range: tuple[int, int] = (1900, 2100),
     min_population: Optional[float] = None,
     population_column: str = "population",
     warnings: Optional[list[str]] = None,
 ) -> Dataset:
-    """Parse delimiter-separated text into a Dataset.
+    """Parse comma-separated text into a Dataset.
 
-    The header must name `country`, `year` and `rating` plus indicator codes.
-    Unknown columns are ignored (reported through `warnings` if given). Empty
-    cells become missing values. Rows whose population column falls below
+    The header must name `country`, `year` and `rating` plus indicator codes
+    of `DEFAULT_REGISTRY`; years must lie in `YEAR_RANGE`. Unknown columns
+    are ignored (reported through `warnings` if given). Empty cells become
+    missing values. Rows whose population column falls below
     `min_population` are dropped when the filter is enabled.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
@@ -210,7 +208,7 @@ def load_dataset(
     for i, name in enumerate(header):
         if i in (country_col, year_col, rating_col, pop_col):
             continue
-        if name in registry:
+        if name in DEFAULT_REGISTRY:
             indicator_cols[i] = name
         elif warnings is not None:
             warnings.append(f"ignoring unknown column {name!r}")
@@ -230,8 +228,8 @@ def load_dataset(
             year = int(row[year_col].strip())
         except ValueError:
             raise DataFormatError(f"line {lineno}: bad year {row[year_col]!r}") from None
-        if not (year_range[0] <= year <= year_range[1]):
-            raise DataFormatError(f"line {lineno}: year {year} outside {year_range}")
+        if not (YEAR_RANGE[0] <= year <= YEAR_RANGE[1]):
+            raise DataFormatError(f"line {lineno}: year {year} outside {YEAR_RANGE}")
         key = (country, year)
         if key in seen_keys:
             raise DataFormatError(f"line {lineno}: duplicate record for {key}")
@@ -285,11 +283,11 @@ def load_dataset(
     return Dataset(records=tuple(records), scale=scale)
 
 
-def serialize_dataset(dataset: Dataset, *, delimiter: str = ",") -> str:
+def serialize_dataset(dataset: Dataset) -> str:
     """Canonical tabular form; re-parsing yields an equal Dataset."""
     codes = dataset.indicator_codes()
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["country", "year", "rating", *codes])
     for rec in dataset.records:
         row = [rec.country_id, rec.year, rec.observed_rating or ""]

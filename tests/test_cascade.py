@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,7 @@ from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
 POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
 NAN = float("nan")
+INF = math.inf
 
 
 def rec(country, values, rating=None):
@@ -104,6 +106,13 @@ class TestTrain:
         assert info.value.stage == "stage 1 (AAA)"
         assert str(info.value).startswith("opposite-class records")
         assert info.value.pairs == [("X:2012", "Y:2012")]
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_non_finite_value_is_a_format_error(self, value):
+        records = list(three_class_dataset().records)
+        records[2] = rec("b1", {"G": 50.0, "EX": value}, "A")
+        with pytest.raises(DataFormatError, match=r"^b1:2012 \(EX\): non-finite value"):
+            train_cascade(Dataset(records=tuple(records)))
 
 
 class TestClassify:
@@ -223,7 +232,8 @@ literals = st.builds(
 pattern_lists = st.lists(
     st.lists(literals, max_size=3).map(lambda lits: Pattern(literals=tuple(lits))), max_size=3
 )
-values = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, NAN))  # NaN: in-memory NaN
+# NaN and ±inf: in-memory values load_dataset would reject.
+values = st.sampled_from((-INF, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, INF, NAN))
 records = st.lists(
     st.dictionaries(st.sampled_from(CODES), values).map(lambda v: rec("probe", v)), max_size=8
 )
@@ -282,6 +292,33 @@ class TestClassifyRecords:
         model = CascadeModel(scale, 2012, tuple(ClassDnf(k, ()) for k in (1, 2, 3)))
         expected = "D" if policy == FALLBACK_TO_LAST else None
         assert classify_records(model, [rec("a", {"G": 1.0}), rec("b", {})]) == [expected] * 2
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("threshold", [INF, -INF])
+    def test_infinite_thresholds(self, threshold, policy):
+        ge, le, tail = (
+            Pattern(literals=(Literal(code, direction, threshold),))
+            for code, direction in (("G", ">="), ("G", "<="), ("EX", ">="))
+        )
+        model = CascadeModel(
+            RatingScale(SMALL_CLASSES, fallback_policy=policy),
+            2012,
+            (ClassDnf(1, (ge,)), ClassDnf(2, (le,)), ClassDnf(3, ())),
+            tail=ClassDnf(4, (tail,)),
+        )
+        probes = [rec(f"p{i}", {"G": v, "EX": v}) for i, v in enumerate((-INF, -1.0, INF, NAN))]
+        probes += [rec("ex", {"EX": v}) for v in (-INF, INF)] + [rec("none", {})]
+        _assert_batch_agrees(model, probes)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_replaced_scale_gets_its_own_table(self, tree_2012_model, policy):
+        model = _with_policy(tree_2012_model, policy)
+        probes = _threshold_probes(model)
+        before = [classify(model, r) for r in probes]
+        other = _with_policy(model, next(p for p in POLICIES if p != policy))
+        _assert_batch_agrees(other, probes)
+        assert [classify(other, r) for r in probes] != before
+        assert [classify(model, r) for r in probes] == before
 
     def test_zero_literal_pattern_always_matches(self):
         always = Pattern(literals=())

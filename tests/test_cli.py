@@ -213,6 +213,8 @@ BAD_INPUTS = {
     "repeated-header-column": (
         "country,year,rating,G,G\nX,2012,AAA,1,1\nY,2012,BM,2,2\n", None, None, EXIT_PARSE
     ),
+    "year-before-range": ("country,year,rating,G\nX,1899,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE),
+    "year-after-range": ("country,year,rating,G\nX,2012,AAA,1\nY,2101,BM,2\n", None, None, EXIT_PARSE),
 }
 EXTRA_FLAGS = {"relaxation-not-number": ["--relaxation", "abc"]}
 

@@ -33,7 +33,7 @@ class TestLoadDataset:
         ds = load_dataset("country,year,rating,G,EX\nX,2012,BBBM,,40\n")
         (rec,) = ds.records
         assert "G" not in rec.values
-        assert rec.value("G") is None
+        assert rec.values.get("G") is None
 
     def test_duplicate_key_rejected(self):
         text = "country,year,rating,G\nX,2012,AAA,1\nX,2012,AAA,2\n"
