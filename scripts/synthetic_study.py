@@ -11,12 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ladrating import MiningConfig, classify, split_dataset, train_cascade  # noqa: E402
+from ladrating import MiningConfig, evaluate, split_dataset, train_cascade  # noqa: E402
 from ladrating.synthetic import clustered_dataset, nested_dataset  # noqa: E402
-
-
-def accuracy(model, records):
-    return sum(1 for r in records if classify(model, r) == r.observed_rating) / len(records)
 
 
 def main(n_seeds: int = 20) -> int:
@@ -27,8 +23,8 @@ def main(n_seeds: int = 20) -> int:
         for seed in range(n_seeds):
             ds = split_dataset(generator(seed=seed, n_records=90), 0.65, seed=seed)
             model = train_cascade(ds, config)
-            tr = accuracy(model, ds.train_records)
-            te = accuracy(model, ds.test_records)
+            report = evaluate(model, ds)
+            tr, te = report.match_ratio_train, report.match_ratio_test
             relaxed = any(s.relaxations for s in model.stages)
             train_scores.append(tr)
             test_scores.append(te)

@@ -22,6 +22,7 @@ from .cascade import (
     classify,
     classify_records,
     export_decision_tree,
+    first_match,
     import_decision_tree,
     key_variables,
     suggest_rating,

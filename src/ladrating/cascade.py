@@ -27,6 +27,7 @@ from .data import (
     Indicator,
     RatingScale,
     serialize_dataset,
+    value_matrix,
 )
 from .errors import DataFormatError, LadError
 from .patterns import ClassDnf, MiningConfig, Pattern, select_dnf
@@ -34,8 +35,8 @@ from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
 
-#: Records per block in `classify_records`; its arrays then take under
-#: 1 MB on the published trees.
+#: Rows per block in `first_match`; its arrays then take under 1 MB on the
+#: published trees.
 _BLOCK_ROWS = 256
 
 _NAN = math.nan
@@ -197,45 +198,66 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
             return label
 
 
-def classify_records(
-    model: CascadeModel, records: Sequence[CountryRecord]
-) -> list[Optional[str]]:
-    """`classify` of every record, computed as arrays.
+def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -> np.ndarray:
+    """Index into `model._first_match` of each row's first matching entry.
 
-    The model's first-match table (`CascadeModel._first_match`) is flattened
-    into arrays: per check, its indicator column, `lo` and `hi`; per entry,
-    its slice of the checks and its label. A record takes the label of its
-    first entry whose checks all hold, `lo <= x <= hi`; the last entry has
-    none and carries the fallback.
+    `values` is a float matrix, one row per record and one column per code
+    of `codes`, NaN for a missing value (as `value_matrix` builds it); a
+    code the matrix lacks reads as NaN. The model's table is flattened into
+    arrays: per check, its column, `lo` and `hi`; per entry, its slice of
+    the checks. A row's index is that of the first entry whose checks all
+    hold, `lo <= x <= hi`, which NaN fails; the last entry has no checks.
 
-    A missing value, and an in-memory NaN, read as NaN, which fails both
-    comparisons. Records go through in blocks of `_BLOCK_ROWS`, so the
-    arrays held at once take about `_BLOCK_ROWS` x (indicators + 2 x checks)
-    x 8 bytes, whatever the number of records.
+    Rows go through in blocks of `_BLOCK_ROWS`, so the arrays held at once
+    besides `values` take about `_BLOCK_ROWS` x (codes + 2 x checks) x 8
+    bytes, whatever the number of rows. `values` is only read: `evaluate`
+    passes the matrix its dataset builds once and keeps
+    (`Dataset.labeled_arrays`), and rows keep their order, which is the
+    record order mismatch rows that tie fall back on.
     """
     table = model._first_match
     checks = [check for _, entry in table for check in entry]
-    codes = sorted({code for code, _, _ in checks})
-    column = np.array([codes.index(code) for code, _, _ in checks], dtype=np.intp)
+    # Column len(codes) is an all-NaN column for the codes `values` lacks.
+    column_of = {code: j for j, code in enumerate(codes)}
+    column = np.array([column_of.get(code, len(codes)) for code, _, _ in checks], dtype=np.intp)
     lo = np.array([check[1] for check in checks], dtype=float)
     hi = np.array([check[2] for check in checks], dtype=float)
     # Entry e owns checks bounds[e]:bounds[e + 1].
     bounds = np.cumsum([0] + [len(entry) for _, entry in table])
-    labels = [label for label, _ in table]
 
-    out: list[Optional[str]] = []
-    for start in range(0, len(records), _BLOCK_ROWS):
-        block = records[start:start + _BLOCK_ROWS]
-        values = np.array(
-            [[r.values.get(code, _NAN) for code in codes] for r in block], dtype=float
-        )[:, column]
-        truth = (lo <= values) & (values <= hi)
+    index = np.empty(len(values), dtype=np.intp)
+    for start in range(0, len(values), _BLOCK_ROWS):
+        block = values[start:start + _BLOCK_ROWS]
+        x = np.full((len(block), len(codes) + 1), _NAN)
+        x[:, :-1] = block
+        x = x[:, column]
+        truth = (lo <= x) & (x <= hi)
         # Checks holding so far; an entry matches when all of its own hold.
         held = np.zeros((len(block), len(checks) + 1), dtype=np.int32)
         np.cumsum(truth, axis=1, out=held[:, 1:])
         matches = held[:, bounds[1:]] - held[:, bounds[:-1]] == np.diff(bounds)
-        out += [labels[i] for i in matches.argmax(axis=1)]
-    return out
+        index[start:start + len(block)] = matches.argmax(axis=1)
+    return index
+
+
+def classify_records(
+    model: CascadeModel, records: Sequence[CountryRecord]
+) -> list[Optional[str]]:
+    """`classify` of every record: the labels of `first_match`'s entries.
+
+    The records' values go into one matrix over the codes the model's
+    checks name (`value_matrix`, the helper `Dataset.labeled_arrays` uses);
+    a missing value, and an in-memory NaN, read as NaN, which no check
+    passes. The matrix is built on every call, since a plain sequence of
+    records has nowhere to keep it; `evaluate` uses the one its dataset
+    builds once. The records and their values are only read, and the
+    labels come back in record order.
+    """
+    table = model._first_match
+    codes = sorted({code for _, entry in table for code, _, _ in entry})
+    labels = [label for label, _ in table]
+    index = first_match(model, codes, value_matrix(records, codes))
+    return [labels[i] for i in index.tolist()]
 
 
 def _require_unrated(record: CountryRecord) -> None:

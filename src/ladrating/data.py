@@ -12,7 +12,10 @@ import io
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import IO, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataFormatError, Diagnostic
 
@@ -124,8 +127,60 @@ class Split:
     test_keys: frozenset[tuple[str, int]]
 
 
+def value_matrix(records: Sequence[CountryRecord], codes: Sequence[str]) -> np.ndarray:
+    """The records' values as a float matrix, records x codes; NaN where a
+    record has no value for a code."""
+    return np.array(
+        [[r.values.get(code, math.nan) for code in codes] for r in records], dtype=float
+    ).reshape(len(records), len(codes))
+
+
+def rating_codes(labels: Iterable[Optional[str]], known: dict[str, int]) -> list[int]:
+    """One integer per label: 0 for None (unclassified), else `known[label]`.
+
+    Start `known` as each scale label's 1-based index. A label it lacks gets
+    the next free code, past the scale, and is added to `known`, so equal
+    labels always get equal codes and different labels different ones.
+    """
+    return [0 if label is None else known.setdefault(label, len(known) + 1) for label in labels]
+
+
+def sort_ranks(items: Sequence[str]) -> np.ndarray:
+    """Rank of each item among the distinct items in sorted order; equal
+    items get equal ranks."""
+    rank = {item: i for i, item in enumerate(sorted(set(items)))}
+    return np.array([rank[item] for item in items], dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledArrays:
+    """A dataset's labeled records as arrays, one row per record in
+    `Dataset.labeled_records` order. The arrays are read-only."""
+
+    codes: tuple[str, ...]  # the columns of `values`: `Dataset.indicator_codes()`
+    values: np.ndarray  # rows x codes, NaN for a missing value
+    observed: np.ndarray  # `rating_codes` of the observed ratings
+    labels: tuple[str, ...]  # labels[c - 1] is the label of code c
+    country_ids: tuple[str, ...]
+    country_rank: np.ndarray  # `sort_ranks` of the country ids
+    train: Optional[np.ndarray]  # boolean masks, when the dataset has a split
+    test: Optional[np.ndarray]
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Records, their rating scale and an optional train/test split.
+
+    Records and their `values` are treated as read-only once the dataset is
+    built: `labeled_arrays` is computed from them once, on first use, and
+    kept, so changing a record's values afterwards leaves it stale.
+    """
+
     records: tuple[CountryRecord, ...]
     scale: RatingScale = DEFAULT_SCALE
     split: Optional[Split] = None
@@ -152,6 +207,39 @@ class Dataset:
         ordered = [i.code for i in BUILTIN_INDICATORS if i.code in seen]
         ordered += sorted(seen - set(ordered))
         return tuple(ordered)
+
+    @cached_property
+    def labeled_arrays(self) -> LabeledArrays:
+        """The labeled records as arrays: their values over
+        `indicator_codes()`, observed rating codes, country ranks and split
+        masks.
+
+        Built on first use, once per instance; the dataset is frozen, so
+        nothing invalidates it. `dataclasses.replace` (as in `split_dataset`)
+        makes a new instance, which builds its own. `evaluate` orders
+        mismatch rows that tie on distance by the country rank, then by
+        row, which is `labeled_records` order.
+        """
+        labeled = self.labeled_records
+        codes = self.indicator_codes()
+        known = {label: c for c, label in enumerate(self.scale.classes, start=1)}
+        observed = rating_codes([r.observed_rating for r in labeled], known)
+        country_ids = tuple(r.country_id for r in labeled)
+        split = self.split
+
+        def mask(keys):
+            return np.array([r.key in keys for r in labeled], dtype=bool)
+
+        return LabeledArrays(
+            codes=codes,
+            values=value_matrix(labeled, codes),
+            observed=np.array(observed, dtype=np.intp),
+            labels=tuple(known),
+            country_ids=country_ids,
+            country_rank=sort_ranks(country_ids),
+            train=mask(split.train_keys) if split else None,
+            test=mask(split.test_keys) if split else None,
+        )
 
 
 RESERVED_COLUMNS = ("country", "year", "rating")

@@ -10,15 +10,19 @@ bias shows up in.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cascade import CascadeModel, classify_records
-from .data import Dataset, RatingScale
+import numpy as np
+
+from .cascade import CascadeModel, first_match
+from .data import Dataset, RatingScale, rating_codes, sort_ranks
 from .errors import DataFormatError
 
 MODEL_BETTER = "model-better"
 MODEL_WORSE = "model-worse"
+_DIRECTIONS = (None, MODEL_WORSE, MODEL_BETTER)
 
 
 @dataclass(frozen=True)
@@ -46,55 +50,66 @@ class EvaluationReport:
         return self.total_labeled - len(self.mismatches)
 
 
-def _mismatch(scale: RatingScale, country: str, model: Optional[str], observed: str) -> Mismatch:
-    if model is None:
-        return Mismatch(country, None, observed, None, None)
-    dist = scale.index(observed) - scale.index(model)
-    return Mismatch(
-        country, model, observed, dist, MODEL_BETTER if dist > 0 else MODEL_WORSE
-    )
-
-
 def _build_report(
     scale: RatingScale,
-    rows: Sequence[tuple[str, Optional[str], str]],
-    train_keys: Optional[set] = None,
-    test_keys: Optional[set] = None,
-    keys: Optional[Sequence] = None,
+    labels: Sequence[Optional[str]],
+    country_ids: Sequence[str],
+    country_rank: np.ndarray,
+    observed: np.ndarray,
+    model: np.ndarray,
+    train: Optional[np.ndarray] = None,
+    test: Optional[np.ndarray] = None,
 ) -> EvaluationReport:
-    if not rows:
+    """The report of rows given as `rating_codes`: `labels[c]` names code c.
+
+    A row mismatches when its codes differ. A mismatching row with a model
+    rating needs both labels on the scale to give a distance, so a label
+    outside it there is an error; other rows are not checked.
+    """
+    total = len(observed)
+    if not total:
         raise DataFormatError("no labeled records to evaluate")
-    mismatches = [
-        _mismatch(scale, country, model, observed)
-        for country, model, observed in rows
-        if model != observed
-    ]
-    mismatches.sort(
-        key=lambda m: (-(abs(m.signed_distance) if m.signed_distance is not None else -1),
-                       m.country_id)
-    )
-    total = len(rows)
-    matched = total - len(mismatches)
+    n = len(scale)
+    mismatch = observed != model
+    directed = mismatch & (model != 0)
+    unknown = directed & ((observed < 1) | (observed > n) | (model > n))
+    if unknown.any():
+        row = int(unknown.argmax())
+        bad = observed[row] if not 1 <= observed[row] <= n else model[row]
+        raise DataFormatError(f"unknown rating label {labels[bad]!r}")
+    distance = observed - model
+    # Largest |distance| first, unclassified rows last, then by country id;
+    # lexsort is stable, so rows that tie keep their record order.
+    rows = np.flatnonzero(mismatch)
+    size = np.where(directed, np.abs(distance), -1)[rows]
+    rows = rows[np.lexsort((country_rank[rows], -size))]
+    # 0 unclassified, 1 model-worse, 2 model-better: an index into _DIRECTIONS.
+    kind = (directed * (1 + (distance > 0)))[rows].tolist()
+    mismatches = tuple(map(
+        Mismatch,
+        [country_ids[i] for i in rows.tolist()],
+        [labels[m] for m in model[rows].tolist()],
+        [labels[o] for o in observed[rows].tolist()],
+        [d if k else None for d, k in zip(distance[rows].tolist(), kind)],
+        [_DIRECTIONS[k] for k in kind],
+    ))
 
-    def ratio(subset_keys):
-        if subset_keys is None or keys is None:
+    def ratio(mask):
+        if mask is None or not mask.any():
             return None
-        idx = [i for i, k in enumerate(keys) if k in subset_keys]
-        if not idx:
-            return None
-        ok = sum(1 for i in idx if rows[i][1] == rows[i][2])
-        return ok / len(idx)
+        return int(np.count_nonzero(mask & ~mismatch)) / int(np.count_nonzero(mask))
 
-    directed = [m for m in mismatches if m.direction is not None]
-    better = sum(1 for m in directed if m.direction == MODEL_BETTER)
+    unclassified = kind.count(0)
+    n_directed = len(kind) - unclassified
+    better = kind.count(2)
     return EvaluationReport(
-        match_ratio_overall=matched / total,
-        match_ratio_train=ratio(train_keys),
-        match_ratio_test=ratio(test_keys),
-        mismatches=tuple(mismatches),
-        model_better_share=better / len(directed) if directed else None,
-        model_worse_share=(len(directed) - better) / len(directed) if directed else None,
-        unclassified_count=sum(1 for m in mismatches if m.model_rating is None),
+        match_ratio_overall=(total - len(mismatches)) / total,
+        match_ratio_train=ratio(train),
+        match_ratio_test=ratio(test),
+        mismatches=mismatches,
+        model_better_share=better / n_directed if n_directed else None,
+        model_worse_share=(n_directed - better) / n_directed if n_directed else None,
+        unclassified_count=unclassified,
         total_labeled=total,
     )
 
@@ -102,25 +117,43 @@ def _build_report(
 def evaluate(model: CascadeModel, dataset: Dataset) -> EvaluationReport:
     """Exact-match ratios and mismatch rows for every labeled record.
 
-    Per-split ratios appear only when the dataset carries a split.
-    Unclassified records count as mismatches with no direction and are
-    excluded from the bias shares.
+    Reads the dataset's `labeled_arrays`, built once per dataset, so calls
+    with other models on the same dataset reuse its value matrix. Each
+    record's model rating is the label of its `first_match` entry; the
+    signed distance is observed index minus model index. Mismatch rows come
+    largest |distance| first, unclassified rows last, then by country id,
+    then in record order. Per-split ratios appear only when the dataset
+    carries a split. Unclassified records count as mismatches with no
+    direction and are excluded from the bias shares.
     """
-    labeled = dataset.labeled_records
-    ratings = classify_records(model, labeled)
-    rows = [(r.country_id, rating, r.observed_rating) for r, rating in zip(labeled, ratings)]
-    keys = [r.key for r in labeled]
-    train_keys = set(dataset.split.train_keys) if dataset.split else None
-    test_keys = set(dataset.split.test_keys) if dataset.split else None
-    return _build_report(dataset.scale, rows, train_keys, test_keys, keys)
+    arrays = dataset.labeled_arrays
+    known = {label: c for c, label in enumerate(arrays.labels, start=1)}
+    entry = np.array(rating_codes([label for label, _ in model._first_match], known), dtype=np.intp)
+    ratings = entry[first_match(model, arrays.codes, arrays.values)]
+    return _build_report(
+        dataset.scale, (None, *known), arrays.country_ids, arrays.country_rank,
+        arrays.observed, ratings, arrays.train, arrays.test,
+    )
 
 
 def report_from_pairs(
     pairs: Sequence[tuple[str, str, str]], scale: RatingScale
 ) -> EvaluationReport:
     """Build a report from (country, model rating, observed rating) rows,
-    e.g. a published mismatch table re-entered as label pairs."""
-    return _build_report(scale, list(pairs))
+    e.g. a published mismatch table re-entered as label pairs.
+
+    Rows are ordered as in `evaluate`. An unknown label is an error only on
+    a mismatching row with a model rating.
+    """
+    pairs = list(pairs)
+    known = {label: c for c, label in enumerate(scale.classes, start=1)}
+    model = rating_codes([m for _, m, _ in pairs], known)
+    observed = rating_codes([o for _, _, o in pairs], known)
+    country_ids = [c for c, _, _ in pairs]
+    return _build_report(
+        scale, (None, *known), country_ids, sort_ranks(country_ids),
+        np.array(observed, dtype=np.intp), np.array(model, dtype=np.intp),
+    )
 
 
 @dataclass(frozen=True)
@@ -135,10 +168,7 @@ class RepeatOffenderSummary:
 def repeat_offenders(reports: Sequence[EvaluationReport]) -> RepeatOffenderSummary:
     if len(reports) < 2:
         raise DataFormatError("repeat-offender summary needs >= 2 reports")
-    counts: dict[str, int] = {}
-    for report in reports:
-        for m in report.mismatches:
-            counts[m.country_id] = counts.get(m.country_id, 0) + 1
+    counts = Counter(m.country_id for report in reports for m in report.mismatches)
     repeated = {c: n for c, n in counts.items() if n >= 2}
     return RepeatOffenderSummary(
         counts=repeated,

@@ -12,11 +12,13 @@ Lenient mode applies three documented repairs, each logged: a number with two
 dots drops the second dot (`26.17.5` -> `26.175`), a `/` inside a number is
 read as a decimal point (`0/685` -> `0.685`), and an unknown code whose
 alphabetic prefix is a registered code sheds its trailing digits (`PPP6` ->
-`PPP`). These are print artifacts in the published tables.
+`PPP`). These are print artifacts in the published tables. Both modes reject
+a threshold that overflows a float (`1e999`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Mapping, Optional
 
@@ -90,6 +92,9 @@ def parse_literal(
         log = repairs if repairs is not None else []
         code = _repair_code(raw_code, registry, log, line, col)
         value = _repair_number(raw_value, log, line, col)
+    if not math.isfinite(value):
+        # `1e999` matches the number grammar but overflows to inf.
+        raise DecisionTreeParseError(f"non-finite threshold {raw_value.strip()!r}", line, col)
     return Literal(code, op, value)
 
 

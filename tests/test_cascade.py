@@ -20,12 +20,13 @@ from ladrating import (
     RatingScale,
     classify,
     classify_records,
+    first_match,
     key_variables,
     suggest_rating,
     train_cascade,
 )
 from ladrating import cascade as cascade_module
-from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY
+from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, value_matrix
 
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
 POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
@@ -199,21 +200,45 @@ class TestKeyVariables:
         }
 
 
-def _first_match_walk(model, record):
-    """Reference: the cascade spelled out over `Literal.evaluate`."""
-    classes = model.scale.classes
+def _first_match_name(model, record):
+    """Reference: the cascade spelled out over `Literal.evaluate`, naming what
+    decided: `("stage", k, j)` for pattern j of stage k, `("tail", j)` for
+    pattern j of the last-class row, or `("fallback",)`."""
 
-    def fires(dnf):
-        return any(all(lit.evaluate(record) for lit in p.literals) for p in dnf.patterns)
+    def fired(dnf):
+        return next(
+            (j for j, p in enumerate(dnf.patterns) if all(lit.evaluate(record) for lit in p.literals)),
+            None,
+        )
 
     for stage in model.stages:
-        if fires(stage):
-            return classes[stage.rating_index - 1]
-    if model.scale.fallback_policy == FALLBACK_TO_LAST:
-        return classes[-1]
-    if model.tail is not None and fires(model.tail):
+        j = fired(stage)
+        if j is not None:
+            return ("stage", stage.rating_index, j)
+    if model.scale.fallback_policy == UNCLASSIFIED_POLICY and model.tail is not None:
+        j = fired(model.tail)
+        if j is not None:
+            return ("tail", j)
+    return ("fallback",)
+
+
+def _first_match_walk(model, record):
+    """Reference: the label `_first_match_name` leads to."""
+    classes = model.scale.classes
+    name = _first_match_name(model, record)
+    if name[0] == "stage":
+        return classes[name[1] - 1]
+    if name[0] == "tail" or model.scale.fallback_policy == FALLBACK_TO_LAST:
         return classes[-1]
     return None
+
+
+def _entry_names(model):
+    """The name of each entry of the model's first-match table, in its order."""
+    names = [("stage", s.rating_index, j) for s in model.stages for j in range(len(s.patterns))]
+    if model.scale.fallback_policy == UNCLASSIFIED_POLICY and model.tail is not None:
+        names += [("tail", j) for j in range(len(model.tail.patterns))]
+    return names + [("fallback",)]
 
 
 def _assert_batch_agrees(model, records):
@@ -272,6 +297,17 @@ class TestClassifyRecords:
     @settings(max_examples=300, deadline=None)
     def test_matches_classify_and_literal_walk(self, model, records):
         _assert_batch_agrees(model, records)
+
+    @given(hand_built_models(), records, st.permutations(CODES), st.integers(0, len(CODES)))
+    @settings(max_examples=300, deadline=None)
+    def test_first_match_names_the_deciding_pattern(self, model, records, order, width):
+        # The matrix holds some of the codes, in any order; the rest read as NaN.
+        codes = order[:width]
+        index = first_match(model, codes, value_matrix(records, codes))
+        names = _entry_names(model)
+        assert len(names) == len(model._first_match)
+        seen = [rec("probe", {c: v for c, v in r.values.items() if c in codes}) for r in records]
+        assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in seen]
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("make", [three_class_dataset, nested_16_dataset])

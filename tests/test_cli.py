@@ -215,8 +215,18 @@ BAD_INPUTS = {
     ),
     "year-before-range": ("country,year,rating,G\nX,1899,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE),
     "year-after-range": ("country,year,rating,G\nX,2012,AAA,1\nY,2101,BM,2\n", None, None, EXIT_PARSE),
+    "overflowing-threshold": (None, None, None, EXIT_PARSE),
+    "overflowing-threshold-lenient": (None, None, None, EXIT_PARSE),
 }
-EXTRA_FLAGS = {"relaxation-not-number": ["--relaxation", "abc"]}
+EXTRA_FLAGS = {
+    "relaxation-not-number": ["--relaxation", "abc"],
+    "overflowing-threshold-lenient": ["--lenient"],
+}
+#: Cases run through `import-tree` on this tree text.
+TREE_TEXT = {
+    "overflowing-threshold": "AAA\t(G >= 1e999)\n",
+    "overflowing-threshold-lenient": "AAA\t(G >= 1e999)\n",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -227,7 +237,12 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
         if config != "absent.json":
             path.write_text(config)
         monkeypatch.setenv("LADRATING_CONFIG", str(path))
-    if csv_text is not None:
+    if case in TREE_TEXT:
+        tree = tmp_path / "bad.txt"
+        tree.write_text(TREE_TEXT[case])
+        argv = ["import-tree", "--file", str(tree), "--year", "2012", "--out", str(tmp_path / "m")]
+        argv += EXTRA_FLAGS.get(case, [])
+    elif csv_text is not None:
         data = tmp_path / "bad.csv"
         data.write_text(csv_text)
         argv = ["train", "--data", str(data), "--year", "2012", "--out", str(tmp_path / "m")]

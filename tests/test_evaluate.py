@@ -1,18 +1,32 @@
+import importlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
+    CascadeModel,
+    ClassDnf,
     CountryRecord,
     DataFormatError,
     DEFAULT_SCALE,
     Dataset,
+    Literal,
+    Pattern,
+    RatingScale,
+    Split,
+    classify,
     evaluate,
     repeat_offenders,
     report_from_pairs,
     train_cascade,
 )
-from ladrating.evaluate import MODEL_BETTER, MODEL_WORSE
+from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY
+from ladrating.evaluate import MODEL_BETTER, MODEL_WORSE, EvaluationReport, Mismatch
+
+# `ladrating.evaluate` is also the name of the function the package exports.
+evaluate_module = importlib.import_module("ladrating.evaluate")
 
 MISMATCH_2012_ROWS = [
     ("Ukraine", "BBBM", "B"),
@@ -62,6 +76,20 @@ class TestReportFromPairs:
     def test_empty_input_errors(self):
         with pytest.raises(DataFormatError):
             report_from_pairs([], DEFAULT_SCALE)
+
+    @pytest.mark.parametrize("row", [("c", "AAA", "X"), ("c", "X", "AAA"), ("c", "X", "Y")])
+    def test_unknown_label_on_mismatching_row_errors(self, row):
+        observed_unknown = row[2] not in DEFAULT_SCALE
+        name = row[2] if observed_unknown else row[1]
+        with pytest.raises(DataFormatError, match=f"^unknown rating label '{name}'$"):
+            report_from_pairs([("ok", "AAA", "AAA"), row], DEFAULT_SCALE)
+
+    @pytest.mark.parametrize("row", [("c", "X", "X"), ("c", None, "X")])
+    def test_unknown_label_on_matching_or_unclassified_row_is_kept(self, row):
+        report = report_from_pairs([("ok", "AAA", "AAA"), row], DEFAULT_SCALE)
+        assert report.total_labeled == 2
+        assert report.exact_matches == (2 if row[1] == row[2] else 1)
+        assert report.model_better_share is None
 
     @given(
         st.lists(
@@ -123,6 +151,128 @@ class TestEvaluateModel:
         ds = self._dataset()
         model = train_cascade(ds)
         assert evaluate(model, ds) == evaluate(model, ds)
+
+
+def _oracle_report(model, dataset):
+    """The report built row by row: per-record `classify`, `RatingScale.index`
+    per mismatch row and a Python sort."""
+    scale = dataset.scale
+    labeled = dataset.labeled_records
+    rows = [(r.key, r.country_id, classify(model, r), r.observed_rating) for r in labeled]
+    mismatches = []
+    for _, country, rating, observed in rows:
+        if rating == observed:
+            continue
+        if rating is None:
+            mismatches.append(Mismatch(country, None, observed, None, None))
+            continue
+        dist = scale.index(observed) - scale.index(rating)
+        direction = MODEL_BETTER if dist > 0 else MODEL_WORSE
+        mismatches.append(Mismatch(country, rating, observed, dist, direction))
+    mismatches.sort(
+        key=lambda m: (-(abs(m.signed_distance) if m.signed_distance is not None else -1),
+                       m.country_id)
+    )
+
+    def ratio(keys):
+        if dataset.split is None:
+            return None
+        picked = [rating == observed for key, _, rating, observed in rows if key in keys]
+        return sum(picked) / len(picked) if picked else None
+
+    directed = [m for m in mismatches if m.direction is not None]
+    better = sum(1 for m in directed if m.direction == MODEL_BETTER)
+    return EvaluationReport(
+        match_ratio_overall=(len(rows) - len(mismatches)) / len(rows),
+        match_ratio_train=ratio(dataset.split.train_keys if dataset.split else ()),
+        match_ratio_test=ratio(dataset.split.test_keys if dataset.split else ()),
+        mismatches=tuple(mismatches),
+        model_better_share=better / len(directed) if directed else None,
+        model_worse_share=(len(directed) - better) / len(directed) if directed else None,
+        unclassified_count=sum(1 for m in mismatches if m.model_rating is None),
+        total_labeled=len(rows),
+    )
+
+
+SMALL_CLASSES = ("A", "B", "C", "D")
+# The records carry G and EX only; checks on IM read a code the dataset lacks.
+literals = st.builds(
+    Literal, st.sampled_from(("G", "EX", "IM")), st.sampled_from((">=", "<=")),
+    st.sampled_from((0.0, 1.0, 2.0)),
+)
+pattern_lists = st.lists(
+    st.lists(literals, min_size=1, max_size=2).map(lambda l: Pattern(literals=tuple(l))),
+    max_size=2,
+)
+
+
+@st.composite
+def models_and_datasets(draw):
+    scale = RatingScale(
+        SMALL_CLASSES, draw(st.sampled_from((FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)))
+    )
+    stages = tuple(ClassDnf(k, tuple(draw(pattern_lists))) for k in (1, 2, 3))
+    tail = draw(st.none() | pattern_lists.map(lambda ps: ClassDnf(4, tuple(ps))))
+    model = CascadeModel(scale=scale, year=2012, stages=stages, tail=tail)
+    value = st.sampled_from((0.0, 0.5, 1.0, 1.5, 2.0, 3.0))
+    # Few countries over several years: country ids repeat, so rows tie on
+    # distance and country and must keep their record order.
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from("pqrs"), st.integers(2010, 2015)),
+        min_size=1, max_size=25, unique=True,
+    ))
+    records = tuple(
+        CountryRecord(country, year, draw(st.dictionaries(st.sampled_from(("G", "EX")), value)),
+                      draw(st.none() | st.sampled_from(SMALL_CLASSES)))
+        for country, year in keys
+    )
+    split = None
+    if draw(st.booleans()):
+        train = draw(st.sets(st.sampled_from(keys)))
+        split = Split(frozenset(train), frozenset(keys) - train)
+    return model, Dataset(records, scale, split)
+
+
+class TestAgainstOracle:
+    @given(models_and_datasets())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_matches_row_by_row_report(self, case):
+        model, dataset = case
+        if not dataset.labeled_records:
+            with pytest.raises(DataFormatError):
+                evaluate(model, dataset)
+            return
+        expected = _oracle_report(model, dataset)
+        assert evaluate(model, dataset) == expected
+        pairs = [(r.country_id, classify(model, r), r.observed_rating)
+                 for r in dataset.labeled_records]
+        assert report_from_pairs(pairs, dataset.scale) == _oracle_report(
+            model, replace(dataset, split=None))
+
+    def test_value_matrix_is_built_once_per_dataset(self, monkeypatch, tree_2012_model):
+        ds = Dataset((
+            CountryRecord("a", 2012, {"G": 60000.0, "U": 80.0}, "AAA"),
+            CountryRecord("b", 2012, {"G": 100.0}, "BM"),
+        ))
+        seen = []
+
+        def spy(model, codes, values):
+            seen.append(values)
+            return first_match(model, codes, values)
+
+        first_match = evaluate_module.first_match
+        monkeypatch.setattr(evaluate_module, "first_match", spy)
+        other = train_cascade(ds)
+        evaluate(tree_2012_model, ds)
+        evaluate(other, ds)
+        arrays = ds.labeled_arrays
+        assert seen[0] is seen[1] is arrays.values
+        assert not arrays.values.flags.writeable
+        split = replace(ds, split=Split(frozenset({("a", 2012)}), frozenset({("b", 2012)})))
+        assert split.labeled_arrays is not arrays
+        assert split.labeled_arrays.train.tolist() == [True, False]
+        assert evaluate(other, split).match_ratio_test == 1.0
+        assert seen[2] is split.labeled_arrays.values
 
 
 class TestRepeatOffenders:
