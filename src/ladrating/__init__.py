@@ -41,14 +41,12 @@ from .data import (
     make_registry,
     serialize_dataset,
     split_dataset,
-    validate,
 )
 from .errors import (
     ContradictionError,
     CoverageError,
     DataFormatError,
     DecisionTreeParseError,
-    Diagnostic,
     LadError,
 )
 from .evaluate import (

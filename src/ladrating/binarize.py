@@ -9,8 +9,9 @@ certified).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryVi
 
 
 #: Byte budget of one block of pair rows: XORed packed rows while pairs are
-#: built, unpacked bool rows while cover gains are counted.
+#: checked and built, unpacked bool rows while cover gains are counted.
 _BLOCK_BYTES = 1 << 24
 
 #: Search nodes `_exact_cover` may visit (about 0.5 s of search) before it
@@ -167,11 +168,21 @@ def minimize_cutpoints(
     `_EXACT_NODE_BUDGET` nodes; a cover returned then is never larger than
     greedy's but may not be minimal.
 
-    Pairs are built bit-packed, in blocks of positive rows of about
-    `_BLOCK_BYTES`, and deduped block by block, so memory is bounded by the
-    packed distinct-pair matrix: about distinct_pairs x ceil(candidates / 8)
-    bytes, plus 8 bytes per distinct pair for its first-seen rank. Merging a
-    block in holds the matrix twice for a moment.
+    Pairs are deduped without building a row per pair. Each record's bit
+    row gets a 64-bit hash, the XOR of one pseudo-random word per candidate
+    (`_hash_words`) over its true columns. The hash is linear over XOR, so a
+    pair's row hashes to the XOR of its two records' hashes: one outer XOR
+    over positives x negatives. One sort of the pair hashes groups the
+    pairs, and only each group's first-seen pair gets a packed row. Pairs
+    with different hashes have different rows, and every other pair of a
+    group is compared byte for byte with the pair before it in the group,
+    so the result is exact; a mismatch (a 64-bit collision) starts over with
+    the words of the next seed. A pair hashing to 0 is inseparable exactly
+    when its two records' rows are equal, which is checked directly. Memory
+    is about 16 bytes per pair (24 for a moment while the hashes are
+    sorted), plus the distinct packed rows, ceil(candidates / 64) x 8 bytes
+    each, plus blocks of about `_BLOCK_BYTES` while rows are built and
+    compared.
 
     Raises ContradictionError when some opposite-class pair is separated by
     no candidate at all; its `pairs` lists every such pair, positive-major.
@@ -180,71 +191,103 @@ def minimize_cutpoints(
     view = binarize(records, candidates)
     pos = np.flatnonzero(view.labels)
     neg = np.flatnonzero(~view.labels)
-    pairs, rank = _distinct_pairs(view, pos, neg)
+    pairs = _distinct_pairs(view, pos, neg)
     if pairs.shape[0] == 0:
         return []
     chosen = _greedy_cover(pairs, len(candidates))
     if pairs.shape[0] * len(candidates) <= exact_cell_limit:
-        masks = _column_masks(pairs[np.argsort(rank)], len(candidates))
+        masks = _column_masks(pairs, len(candidates))
         chosen = _exact_cover(masks, (1 << pairs.shape[0]) - 1, chosen)
     return sorted(candidates[c] for c in chosen)
 
 
-def _distinct_pairs(
-    view: BinaryView, pos: np.ndarray, neg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_pairs(view: BinaryView, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """The distinct packed XOR rows of all (positive, negative) pairs, in
-    byte order, and each row's rank in first-seen positive-major order.
+    first-seen positive-major order.
 
     Raises ContradictionError when some rows are all zero.
     """
     packed = np.packbits(view.matrix, axis=1)
     width = packed.shape[1]
-    pos_rows, neg_rows = packed[pos], packed[neg]
-    per_block = max(1, _BLOCK_BYTES // max(1, len(neg) * width))
-    pairs = np.zeros((0, width), dtype=np.uint8)
-    rank = np.zeros(0, dtype=np.int64)
-    bad: list[np.ndarray] = []  # flat positive-major indices of all-zero rows
-    for start in range(0, len(pos), per_block):
-        block = pos_rows[start : start + per_block, None, :] ^ neg_rows[None, :, :]
-        # Explicit row count: with zero candidates `width` is 0 and -1 is ambiguous.
-        block = block.reshape(block.shape[0] * len(neg), width)
-        zero = ~block.any(axis=1)
-        if zero.any():
-            bad.append(start * len(neg) + np.flatnonzero(zero))
-        if bad:
-            continue  # training stops here; only the inseparable pairs matter
-        # Distinct rows of the block, then the ones not kept before; both
-        # searches run on the sorted keys, inserts keep `pairs` sorted.
-        keys, first = np.unique(_row_keys(block), return_index=True)
-        known = _row_keys(pairs)
-        at = np.searchsorted(known, keys)
-        seen = at < len(known)
-        seen[seen] = known[at[seen]] == keys[seen]
-        new = ~seen
-        new_first = first[new]
-        new_rank = np.empty(len(new_first), dtype=np.int64)
-        new_rank[np.argsort(new_first)] = len(rank) + np.arange(len(new_first))
-        pairs = np.insert(pairs, at[new], block[new_first], axis=0)
-        rank = np.insert(rank, at[new], new_rank)
-    if bad:
-        flat = np.concatenate(bad)
-        ids = view.record_ids
-        bad_pairs = [
-            (ids[pos[i]], ids[neg[j]]) for i, j in zip(*np.divmod(flat, len(neg)))
-        ]
-        raise ContradictionError(
-            "opposite-class records are not separable by any cut-point: "
-            + "; ".join(f"{a} vs {b}" for a, b in bad_pairs[:5]),
-            pairs=bad_pairs,
-        )
-    return pairs, rank
+    if not len(pos) or not len(neg):
+        return packed[:0]
+    # The same rows zero-padded to 64-bit words: cheaper to XOR and compare.
+    packed64 = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
+    packed64[:, :width] = packed
+    packed64 = packed64.view(np.uint64)
+    seed = 0
+    while True:
+        record_hash = _record_hashes(view.matrix, seed)
+        pair_hash = (record_hash[pos, None] ^ record_hash[None, neg]).ravel()
+        # An all-zero row hashes to 0 under every seed, so confirming the
+        # pairs that hash to 0 finds every inseparable pair.
+        zero = np.flatnonzero(pair_hash == 0)
+        bad = zero[np.bitwise_or.reduce(_pair_rows(packed64, pos, neg, zero), axis=1) == 0]
+        if len(bad):
+            ids = view.record_ids
+            bad_pairs = [
+                (ids[pos[i]], ids[neg[j]]) for i, j in zip(*np.divmod(bad, len(neg)))
+            ]
+            raise ContradictionError(
+                "opposite-class records are not separable by any cut-point: "
+                + "; ".join(f"{a} vs {b}" for a, b in bad_pairs[:5]),
+                pairs=bad_pairs,
+            )
+        order = np.argsort(pair_hash)
+        pair_hash = pair_hash[order]
+        is_start = np.r_[True, pair_hash[1:] != pair_hash[:-1]]
+        del pair_hash
+        if _repeats_match(packed64, pos, neg, order, is_start):
+            first = np.minimum.reduceat(order, np.flatnonzero(is_start))
+            return _pair_rows(packed64, pos, neg, np.sort(first)).view(np.uint8)[:, :width]
+        seed += 1
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row, for sorting and searching rows."""
-    width = rows.shape[1] * rows.itemsize
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
+def _hash_words(n_columns: int, seed: int) -> np.ndarray:
+    """One pseudo-random 64-bit word per candidate column."""
+    return np.frombuffer(random.Random(seed).randbytes(8 * n_columns), dtype=np.uint64)
+
+
+def _record_hashes(matrix: np.ndarray, seed: int) -> np.ndarray:
+    """Per bit row, the XOR of its true columns' `_hash_words`."""
+    words = _hash_words(matrix.shape[1], seed)
+    return np.bitwise_xor.reduce(np.where(matrix, words, np.uint64(0)), axis=1)
+
+
+def _pair_rows(
+    packed64: np.ndarray, pos: np.ndarray, neg: np.ndarray, flat: np.ndarray
+) -> np.ndarray:
+    """The XOR rows of the pairs at flat positive-major indices `flat`."""
+    rows = np.empty((len(flat), packed64.shape[1]), dtype=packed64.dtype)
+    for block in _blocks(len(flat), packed64):
+        i = flat[block] // len(neg)
+        j = flat[block] - i * len(neg)
+        rows[block] = np.take(packed64, pos[i], axis=0)
+        rows[block] ^= np.take(packed64, neg[j], axis=0)
+    return rows
+
+
+def _blocks(n_pairs: int, packed64: np.ndarray) -> Iterator[slice]:
+    """Slices over `n_pairs` pairs, about `_BLOCK_BYTES` of XOR rows each."""
+    step = max(1, _BLOCK_BYTES // max(1, packed64.shape[1] * packed64.itemsize))
+    return (slice(start, start + step) for start in range(0, n_pairs, step))
+
+
+def _repeats_match(
+    packed64: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    order: np.ndarray,
+    is_start: np.ndarray,
+) -> bool:
+    """Whether every pair of `order` that does not start a hash group has
+    the same row as the pair before it, so each group holds one row."""
+    for block in _blocks(len(order), packed64):
+        at = block.start + np.flatnonzero(~is_start[block])
+        rows = _pair_rows(packed64, pos, neg, order[at])
+        if (rows != _pair_rows(packed64, pos, neg, order[at - 1])).any():
+            return False
+    return True
 
 
 def _column_counts(pairs: np.ndarray, rows: np.ndarray, n_columns: int) -> np.ndarray:

@@ -126,7 +126,8 @@ def train_cascade(
     labeling and the pattern engine builds the stage DNF. Boundaries where
     one side is empty become empty stages with a note. Relaxations and
     uncovered positives are recorded in the model notes. A NaN or infinite
-    value anywhere in the dataset is a DataFormatError, as in `load_dataset`.
+    value anywhere in the dataset is a DataFormatError, as in `load_dataset`,
+    and so is a dataset with no indicator code of `registry`.
     """
     for record in dataset.records:
         for code, v in record.values.items():
@@ -138,6 +139,10 @@ def train_cascade(
     if len(observed) < 2:
         raise DataFormatError("training needs records in at least 2 classes")
     codes = [c for c in dataset.indicator_codes() if c in registry]
+    if not codes:
+        raise DataFormatError(
+            "no indicator column to train on: no column of the data is a registry indicator code"
+        )
 
     stages: list[ClassDnf] = []
     notes: list[str] = []

@@ -181,9 +181,9 @@ def _parse_country_values(spec: str) -> CountryRecord:
     for part in spec.split(","):
         if not part.strip():
             continue
-        if "=" not in part:
+        code, eq, raw = part.partition("=")
+        if not eq or not code.strip():
             raise DataFormatError(f"bad CODE=value pair {part!r}")
-        code, raw = part.split("=", 1)
         try:
             value = float(raw)
         except ValueError:

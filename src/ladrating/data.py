@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, Diagnostic
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -391,47 +391,6 @@ def format_value(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
-
-
-def validate(dataset: Dataset) -> list[Diagnostic]:
-    """Structural diagnostics: duplicate keys, bad labels, contradictions.
-
-    Records with identical observed values but different ratings contradict
-    every possible binarization. Contradictions that only a chosen cut-point
-    set creates are reported by `minimize_cutpoints` as ContradictionError.
-    """
-    diags: list[Diagnostic] = []
-    seen: dict[tuple[str, int], CountryRecord] = {}
-    for rec in dataset.records:
-        if rec.key in seen:
-            diags.append(Diagnostic("duplicate-key", f"duplicate record {rec.key}"))
-        seen[rec.key] = rec
-        if rec.observed_rating is not None and rec.observed_rating not in dataset.scale:
-            diags.append(
-                Diagnostic(
-                    "unknown-label",
-                    f"{rec.record_id}: rating {rec.observed_rating!r} not in scale",
-                )
-            )
-
-    labeled = [r for r in dataset.labeled_records if r.observed_rating in dataset.scale]
-
-    by_values: dict[tuple, list[CountryRecord]] = {}
-    for rec in labeled:
-        sig = tuple(sorted(rec.values.items()))
-        by_values.setdefault(sig, []).append(rec)
-    for group in by_values.values():
-        ratings = {r.observed_rating for r in group}
-        if len(ratings) > 1:
-            ids = sorted(r.record_id for r in group)
-            diags.append(
-                Diagnostic(
-                    "contradiction",
-                    f"identical values, different ratings: {', '.join(ids)}",
-                    {"records": ids},
-                )
-            )
-    return diags
 
 
 def split_dataset(dataset: Dataset, train_fraction: float, seed: int) -> Dataset:

@@ -1,9 +1,6 @@
-"""Exception hierarchy and diagnostics shared across the package."""
+"""Exception hierarchy shared across the package."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Any
 
 
 class LadError(Exception):
@@ -42,15 +39,3 @@ class DecisionTreeParseError(LadError):
         super().__init__(message + loc)
         self.line = line
         self.col = col
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    """A validation finding; data, not a failure."""
-
-    kind: str
-    message: str
-    details: dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.message}"

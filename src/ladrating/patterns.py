@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .binarize import BinaryView, Literal, _row_keys
+from .binarize import BinaryView, Literal
 from .data import CountryRecord
 from .errors import DataFormatError
 
@@ -222,6 +222,12 @@ def enumerate_patterns(
         )
         for row, c_p, c_n in zip(keys.tolist(), cp.tolist(), cn.tolist())
     ]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row, for sorting and searching rows."""
+    width = rows.shape[1] * rows.itemsize
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
 
 
 def _best_sub_prevalence(keys: np.ndarray, prevalence: np.ndarray) -> np.ndarray:

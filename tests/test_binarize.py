@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
+    BinaryView,
     ContradictionError,
     CountryRecord,
     CutPoint,
@@ -18,6 +19,7 @@ from ladrating import (
     candidate_cutpoints,
     minimize_cutpoints,
 )
+from ladrating.patterns import _row_keys
 
 
 def rec(values, country="x", year=2012):
@@ -149,12 +151,86 @@ def _reference_exact_cover(masks: list[int], full: int) -> list[int]:
     return best
 
 
+# Reference dedupe: the sort-and-merge `_distinct_pairs` the hashed one
+# replaced, kept verbatim as the oracle for identical pair rows.
+_BLOCK_BYTES = 1 << 24
+
+
+def _reference_distinct_pairs(
+    view: BinaryView, pos: np.ndarray, neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct packed XOR rows of all (positive, negative) pairs, in
+    byte order, and each row's rank in first-seen positive-major order.
+
+    Raises ContradictionError when some rows are all zero.
+    """
+    packed = np.packbits(view.matrix, axis=1)
+    width = packed.shape[1]
+    pos_rows, neg_rows = packed[pos], packed[neg]
+    per_block = max(1, _BLOCK_BYTES // max(1, len(neg) * width))
+    pairs = np.zeros((0, width), dtype=np.uint8)
+    rank = np.zeros(0, dtype=np.int64)
+    bad: list[np.ndarray] = []  # flat positive-major indices of all-zero rows
+    for start in range(0, len(pos), per_block):
+        block = pos_rows[start : start + per_block, None, :] ^ neg_rows[None, :, :]
+        # Explicit row count: with zero candidates `width` is 0 and -1 is ambiguous.
+        block = block.reshape(block.shape[0] * len(neg), width)
+        zero = ~block.any(axis=1)
+        if zero.any():
+            bad.append(start * len(neg) + np.flatnonzero(zero))
+        if bad:
+            continue  # training stops here; only the inseparable pairs matter
+        # Distinct rows of the block, then the ones not kept before; both
+        # searches run on the sorted keys, inserts keep `pairs` sorted.
+        keys, first = np.unique(_row_keys(block), return_index=True)
+        known = _row_keys(pairs)
+        at = np.searchsorted(known, keys)
+        seen = at < len(known)
+        seen[seen] = known[at[seen]] == keys[seen]
+        new = ~seen
+        new_first = first[new]
+        new_rank = np.empty(len(new_first), dtype=np.int64)
+        new_rank[np.argsort(new_first)] = len(rank) + np.arange(len(new_first))
+        pairs = np.insert(pairs, at[new], block[new_first], axis=0)
+        rank = np.insert(rank, at[new], new_rank)
+    if bad:
+        flat = np.concatenate(bad)
+        ids = view.record_ids
+        bad_pairs = [
+            (ids[pos[i]], ids[neg[j]]) for i, j in zip(*np.divmod(flat, len(neg)))
+        ]
+        raise ContradictionError(
+            "opposite-class records are not separable by any cut-point: "
+            + "; ".join(f"{a} vs {b}" for a, b in bad_pairs[:5]),
+            pairs=bad_pairs,
+        )
+    return pairs, rank
+
+
 def _outcome(minimize, candidates, records, **kwargs):
     """Cut list, or the contradiction's (message, pairs)."""
     try:
         return minimize(candidates, records, **kwargs)
     except ContradictionError as exc:
         return str(exc), exc.pairs
+
+
+def _dedupe(dedupe, records, candidates):
+    """Distinct pair rows as (dtype, shape, bytes), or the contradiction's
+    (message, pairs)."""
+    view = binarize(records, sorted(candidates))
+    pos, neg = np.flatnonzero(view.labels), np.flatnonzero(~view.labels)
+    try:
+        rows = dedupe(view, pos, neg)
+    except ContradictionError as exc:
+        return str(exc), exc.pairs
+    return rows.dtype.str, rows.shape, rows.tobytes()
+
+
+def _reference_rows(view, pos, neg):
+    """The reference's distinct rows in first-seen order."""
+    pairs, rank = _reference_distinct_pairs(view, pos, neg)
+    return pairs[np.argsort(rank)]
 
 
 CODES = ("G", "EX", "U")
@@ -178,6 +254,40 @@ cutpoint_lists = st.lists(
     unique=True,
 )
 
+# Records with every indicator present, for every grid threshold: most
+# opposite-class pairs are separable.
+dense_records = st.lists(
+    st.tuples(
+        st.fixed_dictionaries({c: st.integers(0, 6).map(float) for c in CODES}), st.booleans()
+    ),
+    min_size=2,
+    max_size=12,
+).map(lambda rows: [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)])
+GRID = [CutPoint(c, t / 2) for c in CODES for t in range(14)]
+
+
+@st.composite
+def pair_problems(draw):
+    """Labeled records with repeats (copies under new ids, a few with the
+    other label), sometimes of one class only, and sometimes no candidates."""
+    records, candidates = draw(
+        st.one_of(
+            st.tuples(labeled_records, cutpoint_lists), st.tuples(dense_records, st.just(GRID))
+        )
+    )
+    copies = draw(st.integers(0, 6))
+    one_flipped = draw(st.integers(0, 3)) == 0
+    for flip in [False] * copies + [True] * one_flipped:
+        if records:
+            original, label = records[draw(st.integers(0, len(records) - 1))]
+            copy = rec(dict(original.values), country=f"d{len(records)}")
+            records.append((copy, label != flip))
+    classes = draw(st.sampled_from(["both"] * 14 + ["positive", "negative"]))
+    if classes != "both":
+        records = [(r, classes == "positive") for r, _ in records]
+    if draw(st.integers(0, 7)) == 0:
+        candidates = []
+    return records, candidates
 
 class TestCandidates:
     def test_midpoint_between_opposite_classes(self):
@@ -324,7 +434,8 @@ class TestMinimize:
     def test_blocks_of_one_positive_row(self, monkeypatch):
         rng = random.Random(7)
         instances = [self._random_instance(rng, n_records=12) for _ in range(20)]
-        # Two contradictory pairs that fall in different positive blocks.
+        # Two contradictory pairs that fall in different blocks of the check
+        # of pairs hashing to 0 (one pair per block here).
         clash = labeled([(1, True), (5, True), (1, False), (5, False), (3, False)])
         instances.append((clash, [CutPoint("G", 2.0), CutPoint("G", 4.0)]))
         module = importlib.import_module("ladrating.binarize")
@@ -341,6 +452,43 @@ class TestMinimize:
         ]
         assert blocked == unblocked
         assert unblocked[-1][1] == [("c0:2012", "c2:2012"), ("c1:2012", "c3:2012")]
+
+    @given(pair_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_pairs_match_reference(self, problem):
+        records, candidates = problem
+        module = importlib.import_module("ladrating.binarize")
+        got = _dedupe(module._distinct_pairs, records, candidates)
+        assert got == _dedupe(_reference_rows, records, candidates)
+
+    def test_hash_collisions_are_rehashed(self, monkeypatch):
+        module = importlib.import_module("ladrating.binarize")
+        rng = random.Random(13)
+        instances = [self._random_instance(rng, n_records=12) for _ in range(20)]
+        clash = labeled([(1, True), (5, True), (1, False), (5, False), (3, False)])
+        instances.append((clash, [CutPoint("G", 2.0), CutPoint("G", 4.0)]))
+
+        def outcomes():
+            return [
+                (_dedupe(module._distinct_pairs, r, c), _outcome(minimize_cutpoints, c, r))
+                for r, c in instances
+            ]
+
+        honest = outcomes()
+        seeds = []
+        real = module._hash_words
+
+        def colliding(n_columns, seed):
+            # Seed 0 gives every column one word: rows of equal parity collide,
+            # and every row of even parity hashes to 0.
+            seeds.append(seed)
+            if seed == 0:
+                return np.full(n_columns, 0x9E3779B97F4A7C15, dtype=np.uint64)
+            return real(n_columns, seed)
+
+        monkeypatch.setattr(module, "_hash_words", colliding)
+        assert outcomes() == honest
+        assert 1 in seeds
 
     def test_exact_cover_node_budget_keeps_a_greedy_bounded_cover(self):
         # Unbudgeted, this 50-pair x 40-candidate instance at 5% density

@@ -87,7 +87,10 @@ def test_train_contradiction_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "m"),
     ])
     assert code == EXIT_CONTRADICTION
-    assert "stage 1 (AAA)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage 1 (AAA)" in err
+    assert "X:2012 vs Y:2012" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_train_coverage_failure_exit_code(tmp_path):
@@ -215,6 +218,10 @@ BAD_INPUTS = {
     ),
     "year-before-range": ("country,year,rating,G\nX,1899,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE),
     "year-after-range": ("country,year,rating,G\nX,2012,AAA,1\nY,2101,BM,2\n", None, None, EXIT_PARSE),
+    "no-indicator-columns": (
+        "country,year,rating,gdp\nX,2012,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE
+    ),
+    "empty-inline-code": (None, "=1", None, EXIT_PARSE),
     "overflowing-threshold": (None, None, None, EXIT_PARSE),
     "overflowing-threshold-lenient": (None, None, None, EXIT_PARSE),
 }

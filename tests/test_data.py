@@ -12,7 +12,6 @@ from ladrating import (
     make_registry,
     serialize_dataset,
     split_dataset,
-    validate,
 )
 
 
@@ -85,29 +84,6 @@ class TestLoadDataset:
 def test_custom_registry_rejects_duplicate_codes():
     with pytest.raises(DataFormatError, match="duplicate"):
         make_registry([Indicator("Q", "a", "u"), Indicator("Q", "b", "u")])
-
-
-class TestValidate:
-    def test_clean(self):
-        ds = load_dataset("country,year,rating,G\nX,2012,AAA,1\nY,2012,BM,2\n")
-        assert validate(ds) == []
-
-    def test_identical_values_different_ratings(self):
-        recs = (
-            CountryRecord("X", 2012, {"G": 5.0}, "AAA"),
-            CountryRecord("Y", 2012, {"G": 5.0}, "BM"),
-        )
-        diags = validate(Dataset(recs))
-        assert [d.kind for d in diags] == ["contradiction"]
-
-    def test_unknown_label_diagnostic(self):
-        recs = (CountryRecord("X", 2012, {"G": 1.0}, "ZZZ"),)
-        diags = validate(Dataset(recs))
-        assert [d.kind for d in diags] == ["unknown-label"]
-
-    def test_loader_output_has_no_duplicate_keys(self):
-        ds = load_dataset("country,year,rating,G\nX,2012,AAA,1\nX,2013,AAA,1\n")
-        assert all(d.kind != "duplicate-key" for d in validate(ds))
 
 
 def _labeled_dataset(n_per_class):
