@@ -35,8 +35,9 @@ from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
 
-#: Rows per block in `first_match`; its arrays then take under 1 MB on the
-#: published trees.
+#: Rows per block in `first_match`. Its arrays then take about
+#: `_BLOCK_ROWS` x (codes + 2 + 3 x entries) x 8 bytes: under 0.4 MB on the
+#: published trees (20 codes, at most 56 entries).
 _BLOCK_ROWS = 256
 
 _NAN = math.nan
@@ -208,39 +209,45 @@ def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -
 
     `values` is a float matrix, one row per record and one column per code
     of `codes`, NaN for a missing value (as `value_matrix` builds it); a
-    code the matrix lacks reads as NaN. The model's table is flattened into
-    arrays: per check, its column, `lo` and `hi`; per entry, its slice of
-    the checks. A row's index is that of the first entry whose checks all
-    hold, `lo <= x <= hi`, which NaN fails; the last entry has no checks.
+    code the matrix lacks reads as NaN. The model's table becomes three
+    W x entries arrays, W the most checks of any entry: slot d of entry e
+    holds the column, `lo` and `hi` of that entry's d-th check, and a slot
+    past an entry's last check holds an always-true check, `-inf <= 0.0 <=
+    +inf` on a pad column of zeros. A row matches an entry when the checks
+    in all W of its slots hold, `lo <= x <= hi`, which NaN fails; the last
+    entry, the fallback, holds only pad slots, so every row matches one.
 
     Rows go through in blocks of `_BLOCK_ROWS`, so the arrays held at once
-    besides `values` take about `_BLOCK_ROWS` x (codes + 2 x checks) x 8
-    bytes, whatever the number of rows. `values` is only read: `evaluate`
-    passes the matrix its dataset builds once and keeps
+    besides `values` take about `_BLOCK_ROWS` x (codes + 2 + 3 x entries)
+    x 8 bytes, whatever the number of rows. `values` is only read:
+    `evaluate` passes the matrix its dataset builds once and keeps
     (`Dataset.labeled_arrays`), and rows keep their order, which is the
     record order mismatch rows that tie fall back on.
     """
     table = model._first_match
-    checks = [check for _, entry in table for check in entry]
-    # Column len(codes) is an all-NaN column for the codes `values` lacks.
+    width = max(len(entry) for _, entry in table) or 1
+    # Column len(codes) is all NaN, for the codes `values` lacks; the one
+    # after it is the pad column of zeros.
     column_of = {code: j for j, code in enumerate(codes)}
-    column = np.array([column_of.get(code, len(codes)) for code, _, _ in checks], dtype=np.intp)
-    lo = np.array([check[1] for check in checks], dtype=float)
-    hi = np.array([check[2] for check in checks], dtype=float)
-    # Entry e owns checks bounds[e]:bounds[e + 1].
-    bounds = np.cumsum([0] + [len(entry) for _, entry in table])
+    pad = (len(codes) + 1, -math.inf, math.inf)
+    column, lo, hi = np.array([
+        [(column_of.get(code, len(codes)), low, high) for code, low, high in entry]
+        + [pad] * (width - len(entry))
+        for _, entry in table
+    ]).transpose(2, 1, 0)
+    column = column.astype(np.intp)
 
     index = np.empty(len(values), dtype=np.intp)
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
-        x = np.full((len(block), len(codes) + 1), _NAN)
-        x[:, :-1] = block
-        x = x[:, column]
-        truth = (lo <= x) & (x <= hi)
-        # Checks holding so far; an entry matches when all of its own hold.
-        held = np.zeros((len(block), len(checks) + 1), dtype=np.int32)
-        np.cumsum(truth, axis=1, out=held[:, 1:])
-        matches = held[:, bounds[1:]] - held[:, bounds[:-1]] == np.diff(bounds)
+        x = np.zeros((len(block), len(codes) + 2))
+        x[:, :-2] = block
+        x[:, -2] = _NAN
+        matches = np.ones((len(block), len(table)), dtype=bool)
+        for d in range(width):
+            v = x[:, column[d]]
+            matches &= lo[d] <= v
+            matches &= v <= hi[d]
         index[start:start + len(block)] = matches.argmax(axis=1)
     return index
 

@@ -32,10 +32,12 @@ from .cascade import (
     train_cascade,
 )
 from .data import (
+    DEFAULT_REGISTRY,
     DEFAULT_SCALE,
     FALLBACK_TO_LAST,
     UNCLASSIFIED_POLICY,
     CountryRecord,
+    Dataset,
     RatingScale,
     load_dataset,
     split_dataset,
@@ -177,34 +179,47 @@ def _load_model(args) -> CascadeModel:
 
 
 def _parse_country_values(spec: str) -> CountryRecord:
+    """The record of an inline `CODE=value,...` list. Each code must be an
+    indicator of the registry and appear once; each value must be finite."""
     values = {}
     for part in spec.split(","):
         if not part.strip():
             continue
         code, eq, raw = part.partition("=")
-        if not eq or not code.strip():
+        code = code.strip()
+        if not eq or not code:
             raise DataFormatError(f"bad CODE=value pair {part!r}")
+        if code not in DEFAULT_REGISTRY:
+            raise DataFormatError(f"unknown indicator code {code!r} in CODE=value pair {part!r}")
+        if code in values:
+            raise DataFormatError(f"indicator code {code!r} given twice in CODE=value pairs")
         try:
             value = float(raw)
         except ValueError:
             raise DataFormatError(f"bad CODE=value pair {part!r}") from None
         if not math.isfinite(value):
             raise DataFormatError(f"non-finite value in CODE=value pair {part!r}")
-        values[code.strip()] = value
+        values[code] = value
     return CountryRecord("cli", 0, values)
+
+
+def _load_data(args, scale: RatingScale) -> Dataset:
+    """The dataset in the file `--data` names. Its warnings (columns that
+    name no indicator) go to `args.warnings`, which `main` prints once the
+    command has succeeded, so that a rejection stays one stderr line."""
+    return load_dataset(_read_text(args.data), scale, warnings=args.warnings)
 
 
 def _records_to_classify(args, scale: RatingScale):
     if args.country_values:
         return [_parse_country_values(args.country_values)]
-    dataset = load_dataset(_read_text(args.data), scale)
-    return list(dataset.records)
+    return list(_load_data(args, scale).records)
 
 
 def cmd_train(args) -> int:
     config = _mining_config(args)
     scale = _scale(args.fallback)
-    dataset = load_dataset(_read_text(args.data), scale)
+    dataset = _load_data(args, scale)
     if args.split_fraction is not None:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
     model = train_cascade(dataset, config, year=args.year)
@@ -244,7 +259,7 @@ def cmd_suggest(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = _load_model(args)
-    dataset = load_dataset(_read_text(args.data), model.scale)
+    dataset = _load_data(args, model.scale)
     if args.split_fraction is not None:
         dataset = split_dataset(dataset, args.split_fraction, args.seed)
     report = evaluate(model, dataset)
@@ -410,7 +425,11 @@ def _with_stage(exc: LadError) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.warnings = []
+        code = args.func(args)
+        for warning in args.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        return code
     except (DecisionTreeParseError, DataFormatError) as exc:
         print(f"error: {_with_stage(exc)}", file=sys.stderr)
         return EXIT_PARSE

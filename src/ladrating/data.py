@@ -252,8 +252,6 @@ def load_dataset(
     source: IO[str] | str,
     scale: RatingScale = DEFAULT_SCALE,
     *,
-    min_population: Optional[float] = None,
-    population_column: str = "population",
     warnings: Optional[list[str]] = None,
 ) -> Dataset:
     """Parse comma-separated text into a Dataset.
@@ -261,8 +259,7 @@ def load_dataset(
     The header must name `country`, `year` and `rating` plus indicator codes
     of `DEFAULT_REGISTRY`; years must lie in `YEAR_RANGE`. Unknown columns
     are ignored (reported through `warnings` if given). Empty cells become
-    missing values. Rows whose population column falls below
-    `min_population` are dropped when the filter is enabled.
+    missing values.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -290,11 +287,10 @@ def load_dataset(
     rating_col = header.index("rating") if "rating" in header else None
     country_col = header.index("country")
     year_col = header.index("year")
-    pop_col = header.index(population_column) if population_column in header else None
 
     indicator_cols: dict[int, str] = {}
     for i, name in enumerate(header):
-        if i in (country_col, year_col, rating_col, pop_col):
+        if i in (country_col, year_col, rating_col):
             continue
         if name in DEFAULT_REGISTRY:
             indicator_cols[i] = name
@@ -332,20 +328,6 @@ def load_dataset(
                         f"line {lineno}: unknown rating label {cell!r}"
                     )
                 rating = cell
-
-        if min_population is not None and pop_col is not None and pop_col < len(row):
-            cell = row[pop_col].strip()
-            try:
-                below = bool(cell) and float(cell) < min_population
-            except ValueError:
-                raise DataFormatError(
-                    f"line {lineno}, column {pop_col + 1} ({population_column}): "
-                    f"bad numeric value {cell!r}"
-                ) from None
-            if below:
-                if warnings is not None:
-                    warnings.append(f"dropping {key}: population below threshold")
-                continue
 
         values: dict[str, float] = {}
         for i, code in indicator_cols.items():

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +27,10 @@ MODEL_WORSE = "model-worse"
 _DIRECTIONS = (None, MODEL_WORSE, MODEL_BETTER)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
+    """One mismatching row. A tuple subclass: it unpacks, and it equals a
+    plain tuple of its fields."""
+
     country_id: str
     model_rating: Optional[str]  # None = unclassified
     observed_rating: str
@@ -85,14 +89,15 @@ def _build_report(
     rows = rows[np.lexsort((country_rank[rows], -size))]
     # 0 unclassified, 1 model-worse, 2 model-better: an index into _DIRECTIONS.
     kind = (directed * (1 + (distance > 0)))[rows].tolist()
-    mismatches = tuple(map(
-        Mismatch,
+    # tuple.__new__ makes each row from its zipped fields, without the
+    # argument handling of a Mismatch(...) call per row.
+    mismatches = tuple(map(tuple.__new__, repeat(Mismatch), zip(
         [country_ids[i] for i in rows.tolist()],
         [labels[m] for m in model[rows].tolist()],
         [labels[o] for o in observed[rows].tolist()],
         [d if k else None for d, k in zip(distance[rows].tolist(), kind)],
         [_DIRECTIONS[k] for k in kind],
-    ))
+    )))
 
     def ratio(mask):
         if mask is None or not mask.any():
@@ -168,7 +173,9 @@ class RepeatOffenderSummary:
 def repeat_offenders(reports: Sequence[EvaluationReport]) -> RepeatOffenderSummary:
     if len(reports) < 2:
         raise DataFormatError("repeat-offender summary needs >= 2 reports")
-    counts = Counter(m.country_id for report in reports for m in report.mismatches)
+    counts = Counter(chain.from_iterable(
+        map(attrgetter("country_id"), report.mismatches) for report in reports
+    ))
     repeated = {c: n for c, n in counts.items() if n >= 2}
     return RepeatOffenderSummary(
         counts=repeated,

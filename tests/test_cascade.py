@@ -21,12 +21,15 @@ from ladrating import (
     classify,
     classify_records,
     first_match,
+    import_decision_tree,
     key_variables,
     suggest_rating,
     train_cascade,
 )
 from ladrating import cascade as cascade_module
 from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, value_matrix
+
+from conftest import tree_text
 
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
 POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
@@ -308,6 +311,38 @@ class TestClassifyRecords:
         assert len(names) == len(model._first_match)
         seen = [rec("probe", {c: v for c, v in r.values.items() if c in codes}) for r in records]
         assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in seen]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind, width", [("unequal", 3), ("no-patterns", 0), ("tree-2014", 4)])
+    def test_first_match_table_shapes(self, monkeypatch, kind, width, policy, block_rows):
+        # Entries of unequal widths, the fallback alone, and the widest
+        # published tree, in blocks that the row count is no multiple of.
+        scale = RatingScale(SMALL_CLASSES, fallback_policy=policy)
+        grid = [dict(zip(CODES, v)) for v in itertools.product((NAN, 0.0, 1.0, 2.0, 3.0), repeat=3)]
+        if kind == "unequal":
+            lit = Literal
+            model = CascadeModel(scale, 2012, (
+                ClassDnf(1, (Pattern((lit("G", ">=", 2.0), lit("EX", "<=", 1.0), lit("C", ">=", 1.0))),)),
+                ClassDnf(2, (Pattern((lit("G", ">=", 1.0),)), Pattern((lit("EX", ">=", 2.0), lit("C", "<=", 0.0))))),
+                ClassDnf(3, ()),
+            ), tail=ClassDnf(4, (Pattern((lit("C", ">=", 3.0),)),)))
+            probes = [rec(f"g{i}", {c: v for c, v in values.items() if v == v}) for i, values in enumerate(grid)]
+        elif kind == "no-patterns":
+            model = CascadeModel(scale, 2012, tuple(ClassDnf(k, ()) for k in (1, 2, 3)))
+            probes = [rec(f"g{i}", values) for i, values in enumerate(grid)]
+        else:
+            tree = import_decision_tree(tree_text(2014), DEFAULT_SCALE, 2014, strict=False)
+            model = _with_policy(tree, policy)
+            probes = _threshold_probes(model)
+        if len(probes) % 7 == 0:
+            probes = probes[:-1]
+        assert max(len(entry) for _, entry in model._first_match) == width
+        codes = sorted({code for _, entry in model._first_match for code, _, _ in entry} | set(CODES))
+        monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", block_rows)
+        index = first_match(model, codes, value_matrix(probes, codes))
+        names = _entry_names(model)
+        assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in probes]
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("make", [three_class_dataset, nested_16_dataset])

@@ -222,6 +222,8 @@ BAD_INPUTS = {
         "country,year,rating,gdp\nX,2012,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE
     ),
     "empty-inline-code": (None, "=1", None, EXIT_PARSE),
+    "repeated-inline-code": (None, "U=80,G=1,G=60000", None, EXIT_PARSE),
+    "unknown-inline-code": (None, "U=80,GDP=60000", None, EXIT_PARSE),
     "overflowing-threshold": (None, None, None, EXIT_PARSE),
     "overflowing-threshold-lenient": (None, None, None, EXIT_PARSE),
 }
@@ -261,6 +263,26 @@ def test_bad_input_exits_without_traceback(case, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_data_column_warns_one_line(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(GOOD_CSV)
+    extra = tmp_path / "extra.csv"
+    extra.write_text("country,year,rating,G,gdp\nX,2012,AAA,1,5\nY,2012,BM,2,6\n")
+    assert main(["train", "--data", str(plain), "--year", "2012", "--out", str(tmp_path / "a")]) == EXIT_OK
+    capsys.readouterr()
+    runs = [
+        ["train", "--data", str(extra), "--year", "2012", "--out", str(tmp_path / "b")],
+        ["evaluate", "--model", str(tmp_path / "b.tree.txt"), "--data", str(extra)],
+        ["classify", "--model", str(tmp_path / "b.tree.txt"), "--data", str(extra)],
+    ]
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "warning: ignoring unknown column 'gdp'\n", argv
+    for suffix in (".tree.txt", ".provenance.json", ".train.log"):
+        assert (tmp_path / ("b" + suffix)).read_bytes() == (tmp_path / ("a" + suffix)).read_bytes()
 
 
 def test_non_utf8_data_names_path_and_byte_offset(tmp_path, capsys):

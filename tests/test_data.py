@@ -59,17 +59,6 @@ class TestLoadDataset:
         assert "weather" not in ds.records[0].values
         assert any("weather" in w for w in warnings)
 
-    def test_population_filter_off_by_default(self):
-        text = "country,year,rating,G,population\nTiny,2012,AAA,1,100\n"
-        assert len(load_dataset(text).records) == 1
-        assert len(load_dataset(text, min_population=1000).records) == 0
-
-    def test_non_numeric_population_names_line_and_column(self):
-        text = "country,year,rating,G,population\nX,2012,AAA,1,5e6\nY,2012,BM,2,abc\n"
-        assert len(load_dataset(text).records) == 2  # the filter is off
-        with pytest.raises(DataFormatError, match=r"line 3, column 5 \(population\).*'abc'"):
-            load_dataset(text, min_population=5)
-
     def test_round_trip(self):
         text = (
             "country,year,rating,G,EX\n"

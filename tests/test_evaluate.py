@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +112,44 @@ class TestReportFromPairs:
         by_country = {m.country_id: m for m in rev.mismatches}
         for m in fwd.mismatches:
             assert by_country[m.country_id].signed_distance == -m.signed_distance
+
+
+class TestMismatch:
+    FIELDS = ("Ukraine", "BBBM", "B", 5, MODEL_BETTER)
+
+    @pytest.mark.parametrize("fields", [FIELDS, ("Chad", None, "B", None, None)])
+    def test_repr_is_the_dataclass_form(self, fields):
+        names = ("country_id", "model_rating", "observed_rating", "signed_distance", "direction")
+        frozen = make_dataclass("Mismatch", names, frozen=True)
+        assert repr(Mismatch(*fields)) == repr(frozen(*fields))
+
+    def test_report_rows_are_mismatches(self):
+        report = report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE)
+        assert all(type(m) is Mismatch for m in report.mismatches)
+        (m,) = report_from_pairs([MISMATCH_2012_ROWS[0]], DEFAULT_SCALE).mismatches
+        assert m == Mismatch(*self.FIELDS)
+        assert repr(m) == (
+            "Mismatch(country_id='Ukraine', model_rating='BBBM', observed_rating='B', "
+            "signed_distance=5, direction='model-better')"
+        )
+
+    def test_fields_read_by_name_and_are_frozen(self):
+        m = Mismatch(*self.FIELDS)
+        assert (m.country_id, m.model_rating, m.observed_rating) == self.FIELDS[:3]
+        assert (m.signed_distance, m.direction) == self.FIELDS[3:]
+        with pytest.raises(AttributeError):
+            m.country_id = "Ghana"
+        assert m.country_id == "Ukraine"
+
+    def test_equality_and_hash(self):
+        m, same = Mismatch(*self.FIELDS), Mismatch(*self.FIELDS)
+        assert m == same and hash(m) == hash(same)
+        assert len({m, same}) == 1
+        assert m != Mismatch("Ukraine", "BBBM", "B", 5, MODEL_WORSE)
+        # A tuple subclass: it unpacks and equals the plain tuple of its fields.
+        country, *_, direction = m
+        assert (country, direction) == ("Ukraine", MODEL_BETTER)
+        assert m == self.FIELDS and hash(m) == hash(self.FIELDS)
 
 
 class TestEvaluateModel:
