@@ -3,19 +3,21 @@
 A cut-point is a threshold placed between two observed values of one
 indicator that belong to opposite binary classes; the induced intervals are
 pure. Each cut-point contributes one Boolean column meaning "value >=
-threshold"; a missing value makes the column false (the condition cannot be
-certified).
+threshold"; a missing value, an in-memory NaN included, makes the column
+false (the condition cannot be certified).
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import attrgetter
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .data import CountryRecord, format_value
+from .data import CountryRecord, format_value, value_matrix
 from .errors import ContradictionError, DataFormatError
 
 #: (record, is_positive) pairs, the unit the binarizer works on.
@@ -26,6 +28,10 @@ LabeledRecords = Sequence[tuple[CountryRecord, bool]]
 class CutPoint:
     indicator: str
     threshold: float
+
+
+#: `CutPoint`'s sort key: the dataclass order, without a tuple per comparison.
+_CUT_ORDER = attrgetter("indicator", "threshold")
 
 
 @dataclass(frozen=True, order=True)
@@ -66,35 +72,101 @@ class BinaryView:
         return int(self.labels.sum())
 
 
+class StageRecords(Sequence[tuple[CountryRecord, bool]]):
+    """One stage's labeled records over a value matrix that stages share.
+
+    A read-only sequence of `(record, is_positive)` pairs, like any
+    `LabeledRecords`, that also holds:
+
+    - `values`: the records x `codes` float matrix of `value_matrix`, NaN
+      for a missing value, so an in-memory NaN is missing too;
+    - `labels`: a bool array, True for a positive record;
+    - `record_ids`, in record order;
+    - `columns`: per code, its column presorted (one `argsort`): the rows
+      with a value in ascending value order, the positions among them where
+      a run of equal values starts, and the midpoints between consecutive
+      runs.
+
+    `with_labels` gives another stage over the same matrix and presorted
+    columns, so a training builds them once, however many stages it has.
+    Memory is 8 bytes per matrix cell plus about 24 per present value.
+    """
+
+    def __init__(
+        self, records: Sequence[CountryRecord], codes: Sequence[str], labels: Sequence[bool]
+    ):
+        self.records = tuple(records)
+        self.codes = tuple(codes)
+        self.values = value_matrix(self.records, self.codes)
+        self.labels = np.asarray(labels, dtype=bool)
+        self.record_ids = tuple(r.record_id for r in self.records)
+        self.columns = {code: _presorted(self.values[:, j]) for j, code in enumerate(self.codes)}
+
+    def with_labels(self, labels: Sequence[bool]) -> StageRecords:
+        """The same records, matrix and presorted columns under `labels`."""
+        stage = copy.copy(self)
+        stage.labels = np.asarray(labels, dtype=bool)
+        return stage
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(self.records[i], self.labels[i].tolist()))
+        return self.records[i], bool(self.labels[i])
+
+    def __iter__(self) -> Iterator[tuple[CountryRecord, bool]]:
+        return zip(self.records, self.labels.tolist())
+
+
+def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows with a value in ascending value order, the positions among
+    them where a run of equal values starts, and the midpoints between
+    consecutive runs."""
+    order = np.argsort(column)  # NaN sorts last
+    present = order[: len(order) - int(np.isnan(column).sum())]
+    values = column[present]
+    is_start = np.ones(len(values), dtype=bool)
+    is_start[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(is_start)
+    runs = values[starts]
+    return present, starts, (runs[:-1] + runs[1:]) / 2.0
+
+
+def _as_stage(records: LabeledRecords, codes: Sequence[str]) -> StageRecords:
+    """`records` as a `StageRecords` that holds `codes`: plain pairs, or a
+    stage lacking one of them, are read into a new one once."""
+    if isinstance(records, StageRecords) and records.columns.keys() >= set(codes):
+        return records
+    labeled = list(records)
+    return StageRecords(
+        [r for r, _ in labeled], list(dict.fromkeys(codes)), [label for _, label in labeled]
+    )
+
+
 def candidate_cutpoints(records: LabeledRecords, indicator: str) -> list[CutPoint]:
     """All class-boundary cut-points for one indicator, midpoint placement.
 
     One candidate between every adjacent pair of observed values whose
     classes differ; the resulting intervals are pure. Returns [] when only
-    one class carries values.
+    one class carries values. A missing value or a NaN is not observed.
+
+    Works on the presorted column of a `StageRecords` (plain pairs are read
+    into one first): a `reduceat` over each run of equal values tells which
+    classes carry that value, and a candidate is the midpoint between two
+    consecutive runs where a positive faces a negative.
     """
-    by_value: dict[float, set[bool]] = {}
-    for rec, label in records:
-        v = rec.values.get(indicator)
-        if v is not None:
-            by_value.setdefault(v, set()).add(label)
-    if not by_value:
+    stage = _as_stage(records, (indicator,))
+    present, starts, midpoints = stage.columns[indicator]
+    if not len(present):
         raise DataFormatError(f"indicator {indicator!r} absent from all records")
-
-    all_labels = set().union(*by_value.values())
-    if len(all_labels) < 2:
-        return []
-
-    cuts: list[CutPoint] = []
-    values = sorted(by_value)
-    for lo, hi in zip(values, values[1:]):
-        lo_labels, hi_labels = by_value[lo], by_value[hi]
-        # Opposite classes face each other across this gap.
-        if (True in lo_labels and False in hi_labels) or (
-            False in lo_labels and True in hi_labels
-        ):
-            cuts.append(CutPoint(indicator, (lo + hi) / 2.0))
-    return cuts
+    labels = stage.labels[present]
+    pos = np.logical_or.reduceat(labels, starts)
+    neg = ~np.logical_and.reduceat(labels, starts)
+    # Opposite classes face each other across the gap after run i.
+    faces = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
+    return [CutPoint(indicator, t) for t in midpoints[faces].tolist()]
 
 
 def all_candidate_cutpoints(
@@ -104,38 +176,33 @@ def all_candidate_cutpoints(
 
     Indicators carried by one class only (or by nobody) contribute nothing.
     """
+    stage = _as_stage(records, indicators)
     cuts: list[CutPoint] = []
     for code in indicators:
         try:
-            cuts.extend(candidate_cutpoints(records, code))
+            cuts.extend(candidate_cutpoints(stage, code))
         except DataFormatError:
             continue
     return cuts
 
 
 def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryView:
-    """Encode labeled records over `cutpoints`, one indicator at a time.
+    """Encode labeled records over `cutpoints`.
 
-    An indicator absent from a record's values is missing; a present value,
-    NaN included, is compared against the thresholds (NaN >= t is false).
+    Compares the value-matrix column of each cut-point's indicator with its
+    threshold (plain pairs are read into a `StageRecords` first). A value
+    is missing when the record has none or an in-memory NaN: both literals
+    are false there, as `Literal.evaluate`, `classify` and `first_match`
+    have them. Memory is the two records x cut-points bool matrices plus
+    one float matrix of the same shape while comparing.
     """
-    n, m = len(records), len(cutpoints)
-    matrix = np.zeros((n, m), dtype=bool)
-    missing = np.zeros((n, m), dtype=bool)
-    labels = np.fromiter((label for _, label in records), dtype=bool, count=n)
-    columns: dict[str, list[int]] = {}
-    for j, cp in enumerate(cutpoints):
-        columns.setdefault(cp.indicator, []).append(j)
-    for code, js in columns.items():
-        present = np.fromiter((code in rec.values for rec, _ in records), dtype=bool, count=n)
-        values = np.fromiter(
-            (rec.values.get(code, np.nan) for rec, _ in records), dtype=float, count=n
-        )
-        thresholds = np.array([cutpoints[j].threshold for j in js])
-        matrix[:, js] = (values[:, None] >= thresholds) & present[:, None]
-        missing[:, js] = ~present[:, None]
-    ids = tuple(rec.record_id for rec, _ in records)
-    return BinaryView(ids, matrix, missing, labels, tuple(cutpoints))
+    stage = _as_stage(records, [cp.indicator for cp in cutpoints])
+    column = {code: j for j, code in enumerate(stage.codes)}
+    values = stage.values[:, [column[cp.indicator] for cp in cutpoints]]
+    thresholds = np.array([cp.threshold for cp in cutpoints], dtype=float)
+    return BinaryView(
+        stage.record_ids, values >= thresholds, np.isnan(values), stage.labels, tuple(cutpoints)
+    )
 
 
 #: Byte budget of one block of pair rows: XORed packed rows while pairs are
@@ -178,43 +245,60 @@ def minimize_cutpoints(
     group is compared byte for byte with the pair before it in the group,
     so the result is exact; a mismatch (a 64-bit collision) starts over with
     the words of the next seed. A pair hashing to 0 is inseparable exactly
-    when its two records' rows are equal, which is checked directly. Memory
-    is about 16 bytes per pair (24 for a moment while the hashes are
-    sorted), plus the distinct packed rows, ceil(candidates / 64) x 8 bytes
-    each, plus blocks of about `_BLOCK_BYTES` while rows are built and
-    compared.
+    when its two records' rows are equal, which is checked directly.
+
+    The greedy cover's first gains are counted without unpacking the
+    distinct rows. Over all pairs, a candidate true on `p` of the positives
+    and `q` of the negatives separates `p (negatives - q) + (positives - p)
+    q` of them; the rows of each group's repeats, built anyway to compare
+    them, are counted and subtracted. The rows of a group are equal, so
+    what is left counts each distinct row once.
+
+    Memory is about 16 bytes per pair (24 for a moment while the hashes
+    are sorted), plus the distinct packed rows, ceil(candidates / 64) x 8
+    bytes each, plus blocks of about `_BLOCK_BYTES` while rows are built,
+    compared and counted.
 
     Raises ContradictionError when some opposite-class pair is separated by
     no candidate at all; its `pairs` lists every such pair, positive-major.
     """
-    candidates = sorted(candidates)
+    candidates = sorted(candidates, key=_CUT_ORDER)
     view = binarize(records, candidates)
     pos = np.flatnonzero(view.labels)
     neg = np.flatnonzero(~view.labels)
-    pairs = _distinct_pairs(view, pos, neg)
+    pairs, gains = _distinct_pairs(view, pos, neg)
     if pairs.shape[0] == 0:
         return []
-    chosen = _greedy_cover(pairs, len(candidates))
+    chosen = _greedy_cover(pairs, gains)
     if pairs.shape[0] * len(candidates) <= exact_cell_limit:
         masks = _column_masks(pairs, len(candidates))
         chosen = _exact_cover(masks, (1 << pairs.shape[0]) - 1, chosen)
-    return sorted(candidates[c] for c in chosen)
+    return sorted((candidates[c] for c in chosen), key=_CUT_ORDER)
 
 
-def _distinct_pairs(view: BinaryView, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+def _distinct_pairs(
+    view: BinaryView, pos: np.ndarray, neg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct packed XOR rows of all (positive, negative) pairs, in
-    first-seen positive-major order.
+    first-seen positive-major order, and per candidate how many of them it
+    covers.
 
     Raises ContradictionError when some rows are all zero.
     """
-    packed = np.packbits(view.matrix, axis=1)
-    width = packed.shape[1]
+    n_records, n_columns = view.matrix.shape
+    width = -(-n_columns // 8)
+    # The rows packed into zero-padded 64-bit words, cheaper to XOR and
+    # compare; one flat `packbits` over whole words is also cheaper than
+    # packing along rows.
+    words = -(-n_columns // 64)
+    bits = np.zeros((n_records, words * 64), dtype=bool)
+    bits[:, :n_columns] = view.matrix
+    packed64 = np.packbits(bits).view(np.uint64).reshape(n_records, words)
     if not len(pos) or not len(neg):
-        return packed[:0]
-    # The same rows zero-padded to 64-bit words: cheaper to XOR and compare.
-    packed64 = np.zeros((len(packed), -(-width // 8) * 8), dtype=np.uint8)
-    packed64[:, :width] = packed
-    packed64 = packed64.view(np.uint64)
+        return packed64.view(np.uint8)[:0, :width], np.zeros(n_columns, dtype=np.int64)
+    pos_true = view.matrix[pos].sum(axis=0, dtype=np.int64)
+    neg_true = view.matrix[neg].sum(axis=0, dtype=np.int64)
+    all_pairs = pos_true * (len(neg) - neg_true) + (len(pos) - pos_true) * neg_true
     seed = 0
     while True:
         record_hash = _record_hashes(view.matrix, seed)
@@ -237,9 +321,11 @@ def _distinct_pairs(view: BinaryView, pos: np.ndarray, neg: np.ndarray) -> np.nd
         pair_hash = pair_hash[order]
         is_start = np.r_[True, pair_hash[1:] != pair_hash[:-1]]
         del pair_hash
-        if _repeats_match(packed64, pos, neg, order, is_start):
+        repeats = _repeat_counts(packed64, pos, neg, order, is_start, n_columns)
+        if repeats is not None:
             first = np.minimum.reduceat(order, np.flatnonzero(is_start))
-            return _pair_rows(packed64, pos, neg, np.sort(first)).view(np.uint8)[:, :width]
+            rows = _pair_rows(packed64, pos, neg, np.sort(first)).view(np.uint8)[:, :width]
+            return rows, all_pairs - repeats
         seed += 1
 
 
@@ -273,21 +359,25 @@ def _blocks(n_pairs: int, packed64: np.ndarray) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n_pairs, step))
 
 
-def _repeats_match(
+def _repeat_counts(
     packed64: np.ndarray,
     pos: np.ndarray,
     neg: np.ndarray,
     order: np.ndarray,
     is_start: np.ndarray,
-) -> bool:
-    """Whether every pair of `order` that does not start a hash group has
-    the same row as the pair before it, so each group holds one row."""
+    n_columns: int,
+) -> Optional[np.ndarray]:
+    """Per candidate, how many pairs of `order` that do not start a hash
+    group it covers; None when one of them has another row than the pair
+    before it, so that some group holds two rows."""
+    counts = np.zeros(n_columns, dtype=np.int64)
     for block in _blocks(len(order), packed64):
         at = block.start + np.flatnonzero(~is_start[block])
         rows = _pair_rows(packed64, pos, neg, order[at])
         if (rows != _pair_rows(packed64, pos, neg, order[at - 1])).any():
-            return False
-    return True
+            return None
+        counts += _column_counts(rows.view(np.uint8), np.ones(len(rows), dtype=bool), n_columns)
+    return counts
 
 
 def _column_counts(pairs: np.ndarray, rows: np.ndarray, n_columns: int) -> np.ndarray:
@@ -311,11 +401,15 @@ def _column(pairs: np.ndarray, c: int) -> np.ndarray:
     return ((pairs[:, c >> 3] >> (7 - (c & 7))) & 1).astype(bool)
 
 
-def _greedy_cover(pairs: np.ndarray, n_columns: int) -> list[int]:
-    """Greedy set cover: most uncovered pairs, ties to the earlier candidate."""
+def _greedy_cover(pairs: np.ndarray, gains: np.ndarray) -> list[int]:
+    """Greedy set cover: most uncovered pairs, ties to the earlier candidate.
+
+    `gains` holds, per candidate, how many rows of `pairs` it covers.
+    """
+    gains = np.array(gains, dtype=np.int64)
+    n_columns = len(gains)
     uncovered = np.ones(pairs.shape[0], dtype=bool)
     left = pairs.shape[0]
-    gains = _column_counts(pairs, uncovered, n_columns)
     chosen: list[int] = []
     while left:
         best = int(np.argmax(gains))

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .binarize import all_candidate_cutpoints, binarize, minimize_cutpoints
+from .binarize import StageRecords, all_candidate_cutpoints, binarize, minimize_cutpoints
 from .data import (
     DEFAULT_REGISTRY,
     CountryRecord,
@@ -124,11 +124,14 @@ def train_cascade(
 
     For every boundary k the records of classes 1..k are positive and the
     rest negative; the binarizer picks a minimal cut-point set for that
-    labeling and the pattern engine builds the stage DNF. Boundaries where
-    one side is empty become empty stages with a note. Relaxations and
-    uncovered positives are recorded in the model notes. A NaN or infinite
-    value anywhere in the dataset is a DataFormatError, as in `load_dataset`,
-    and so is a dataset with no indicator code of `registry`.
+    labeling and the pattern engine builds the stage DNF. The training
+    records' value matrix and its presorted columns are built once per call
+    (`StageRecords`), and every stage reads them under its own labels.
+    Boundaries where one side is empty become empty stages with a note.
+    Relaxations and uncovered positives are recorded in the model notes.
+    A NaN or infinite value anywhere in the dataset is a DataFormatError,
+    as in `load_dataset`, and so is a dataset with no indicator code of
+    `registry`.
     """
     for record in dataset.records:
         for code, v in record.values.items():
@@ -145,15 +148,19 @@ def train_cascade(
             "no indicator column to train on: no column of the data is a registry indicator code"
         )
 
+    # Stage k's positives are the records rated in classes 1..k: rank < k.
+    index = {label: i for i, label in enumerate(scale.classes)}
+    rank = np.array([index.get(r.observed_rating, len(scale)) for r in train], dtype=np.intp)
+    records = StageRecords(train, codes, rank < 1)
+
     stages: list[ClassDnf] = []
     notes: list[str] = []
     for k in range(1, len(scale)):
-        positive_labels = set(scale.classes[:k])
-        labeled = [(r, r.observed_rating in positive_labels) for r in train]
-        n_pos = sum(1 for _, lab in labeled if lab)
+        labeled = records.with_labels(rank < k)
+        n_pos = int(labeled.labels.sum())
         boundary_class = scale.classes[k - 1]
         prefix = f"stage {k} ({boundary_class})"
-        if k > 1 and not any(r.observed_rating == boundary_class for r in train):
+        if k > 1 and not (rank == k - 1).any():
             # Same binary problem as the previous boundary; an identical DNF
             # could never fire first, so the stage ships empty.
             stages.append(ClassDnf(rating_index=k, patterns=()))

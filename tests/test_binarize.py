@@ -1,7 +1,9 @@
 import importlib
 import itertools
+import math
 import random
 import time
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ladrating import (
     candidate_cutpoints,
     minimize_cutpoints,
 )
+from ladrating.binarize import LabeledRecords, StageRecords
 from ladrating.patterns import _row_keys
 
 
@@ -56,6 +59,74 @@ def brute_force_minimum(candidates, records):
             if separated_pairs(records, list(subset)) >= full:
                 return list(subset)
     raise AssertionError("unreachable")
+
+
+# Reference cut points and encoding: the per-record dict walks that the
+# value-matrix path replaced, kept verbatim (names prefixed). They read an
+# in-memory NaN as a present value; the new path reads it as missing, so
+# their inputs have NaN values removed (`_without_nan`).
+def _reference_candidate_cutpoints(records: LabeledRecords, indicator: str) -> list[CutPoint]:
+    """All class-boundary cut-points for one indicator, midpoint placement.
+
+    One candidate between every adjacent pair of observed values whose
+    classes differ; the resulting intervals are pure. Returns [] when only
+    one class carries values.
+    """
+    by_value: dict[float, set[bool]] = {}
+    for rec, label in records:
+        v = rec.values.get(indicator)
+        if v is not None:
+            by_value.setdefault(v, set()).add(label)
+    if not by_value:
+        raise DataFormatError(f"indicator {indicator!r} absent from all records")
+
+    all_labels = set().union(*by_value.values())
+    if len(all_labels) < 2:
+        return []
+
+    cuts: list[CutPoint] = []
+    values = sorted(by_value)
+    for lo, hi in zip(values, values[1:]):
+        lo_labels, hi_labels = by_value[lo], by_value[hi]
+        # Opposite classes face each other across this gap.
+        if (True in lo_labels and False in hi_labels) or (
+            False in lo_labels and True in hi_labels
+        ):
+            cuts.append(CutPoint(indicator, (lo + hi) / 2.0))
+    return cuts
+
+
+def _reference_binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryView:
+    """Encode labeled records over `cutpoints`, one indicator at a time.
+
+    An indicator absent from a record's values is missing; a present value,
+    NaN included, is compared against the thresholds (NaN >= t is false).
+    """
+    n, m = len(records), len(cutpoints)
+    matrix = np.zeros((n, m), dtype=bool)
+    missing = np.zeros((n, m), dtype=bool)
+    labels = np.fromiter((label for _, label in records), dtype=bool, count=n)
+    columns: dict[str, list[int]] = {}
+    for j, cp in enumerate(cutpoints):
+        columns.setdefault(cp.indicator, []).append(j)
+    for code, js in columns.items():
+        present = np.fromiter((code in rec.values for rec, _ in records), dtype=bool, count=n)
+        values = np.fromiter(
+            (rec.values.get(code, np.nan) for rec, _ in records), dtype=float, count=n
+        )
+        thresholds = np.array([cutpoints[j].threshold for j in js])
+        matrix[:, js] = (values[:, None] >= thresholds) & present[:, None]
+        missing[:, js] = ~present[:, None]
+    ids = tuple(rec.record_id for rec, _ in records)
+    return BinaryView(ids, matrix, missing, labels, tuple(cutpoints))
+
+
+def _without_nan(records):
+    """The records with every NaN value dropped, under the same ids."""
+    return [
+        (rec({c: v for c, v in r.values.items() if not math.isnan(v)}, r.country_id, r.year), label)
+        for r, label in records
+    ]
 
 
 # Reference minimizer: the Python-int implementation the numpy one replaced,
@@ -233,6 +304,26 @@ def _reference_rows(view, pos, neg):
     return pairs[np.argsort(rank)]
 
 
+def _hashed_rows(view, pos, neg):
+    """`_distinct_pairs`' rows, without its gains."""
+    return importlib.import_module("ladrating.binarize")._distinct_pairs(view, pos, neg)[0]
+
+
+def _gains(records, candidates):
+    """`_distinct_pairs`' gains and `_column_counts` over the reference's
+    distinct rows, or None for a contradiction."""
+    module = importlib.import_module("ladrating.binarize")
+    view = binarize(records, sorted(candidates))
+    pos, neg = np.flatnonzero(view.labels), np.flatnonzero(~view.labels)
+    try:
+        _, gains = module._distinct_pairs(view, pos, neg)
+    except ContradictionError:
+        return None
+    rows = _reference_rows(view, pos, neg)
+    every = np.ones(len(rows), dtype=bool)
+    return gains.tolist(), module._column_counts(rows, every, len(candidates)).tolist()
+
+
 CODES = ("G", "EX", "U")
 
 # Records over three indicators with values on a coarse grid (ties and
@@ -288,6 +379,81 @@ def pair_problems(draw):
     if draw(st.integers(0, 7)) == 0:
         candidates = []
     return records, candidates
+
+
+@st.composite
+def oracle_problems(draw):
+    """Labeled records (values repeated across both classes, missing values,
+    sometimes one class only, now and then a NaN value), cut points, and a
+    second labeling of the same records."""
+    records = draw(labeled_records)
+    if draw(st.integers(0, 3)) == 0:
+        positive = draw(st.booleans())
+        records = [(r, positive) for r, _ in records]
+    records = [
+        (
+            rec(
+                {c: math.nan if draw(st.integers(0, 9)) == 0 else v for c, v in r.values.items()},
+                country=r.country_id,
+            ),
+            label,
+        )
+        for r, label in records
+    ]
+    other = draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    return records, draw(cutpoint_lists), other
+
+
+def _candidates_or_error(candidates, records, code):
+    try:
+        return candidates(records, code)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(given, records, cutpoints):
+    """Candidates and encoding of `given` (plain pairs or a `StageRecords`
+    over `records`) equal the references' on `records` without NaN."""
+    plain = _without_nan(records)
+    assert list(given) == records
+    for code in CODES:
+        got = _candidates_or_error(candidate_cutpoints, given, code)
+        assert got == _candidates_or_error(_reference_candidate_cutpoints, plain, code)
+        if isinstance(got, list):  # Python floats, as the exported text needs
+            assert all(type(cp.threshold) is float for cp in got)
+    got, want = binarize(given, cutpoints), _reference_binarize(plain, cutpoints)
+    assert got.record_ids == want.record_ids
+    assert got.cutpoints == want.cutpoints
+    for field in ("matrix", "missing", "labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert (a == b).all()
+
+
+class TestMatrixPath:
+    """Candidates and encoding from the value matrix against the per-record
+    dict walks they replaced."""
+
+    @given(oracle_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_pairs_match_reference(self, problem):
+        records, cutpoints, _ = problem
+        _assert_matches_reference(records, records, cutpoints)
+
+    @given(oracle_problems(), st.integers(1, len(CODES)))
+    @settings(max_examples=200, deadline=None)
+    def test_stages_sharing_a_matrix_match_reference(self, problem, n_codes):
+        # As `train_cascade` builds them: one matrix, relabeled per stage. A
+        # stage over fewer codes than the cut points name is read anew.
+        records, cutpoints, other = problem
+        first = StageRecords([r for r, _ in records], CODES[:n_codes], [l for _, l in records])
+        second = first.with_labels(other)
+        assert second.values is first.values and second.columns is first.columns
+        _assert_matches_reference(first, records, cutpoints)
+        relabeled = [(r, label) for (r, _), label in zip(records, other)]
+        _assert_matches_reference(second, relabeled, cutpoints)
+        assert second[:2] == relabeled[:2]
+
 
 class TestCandidates:
     def test_midpoint_between_opposite_classes(self):
@@ -458,8 +624,15 @@ class TestMinimize:
     def test_distinct_pairs_match_reference(self, problem):
         records, candidates = problem
         module = importlib.import_module("ladrating.binarize")
-        got = _dedupe(module._distinct_pairs, records, candidates)
+        got = _dedupe(_hashed_rows, records, candidates)
         assert got == _dedupe(_reference_rows, records, candidates)
+
+    @given(pair_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_all_pair_gains_match_distinct_row_counts(self, problem):
+        gains = _gains(*problem)
+        if gains is not None:
+            assert gains[0] == gains[1]
 
     def test_hash_collisions_are_rehashed(self, monkeypatch):
         module = importlib.import_module("ladrating.binarize")
@@ -470,11 +643,17 @@ class TestMinimize:
 
         def outcomes():
             return [
-                (_dedupe(module._distinct_pairs, r, c), _outcome(minimize_cutpoints, c, r))
+                (
+                    _dedupe(_hashed_rows, r, c),
+                    _outcome(minimize_cutpoints, c, r),
+                    _gains(r, c),
+                )
                 for r, c in instances
             ]
 
         honest = outcomes()
+        # Gains equal the distinct-row counts (None marks a contradiction).
+        assert all(g is None or g[0] == g[1] for _, _, g in honest)
         seeds = []
         real = module._hash_words
 
@@ -489,6 +668,10 @@ class TestMinimize:
         monkeypatch.setattr(module, "_hash_words", colliding)
         assert outcomes() == honest
         assert 1 in seeds
+        # One pair per block: repeats of a failed attempt are counted before
+        # its mismatch shows, and the rehash must start its counts afresh.
+        monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
+        assert outcomes() == honest
 
     def test_exact_cover_node_budget_keeps_a_greedy_bounded_cover(self):
         # Unbudgeted, this 50-pair x 40-candidate instance at 5% density
@@ -499,7 +682,7 @@ class TestMinimize:
         for i in np.flatnonzero(~bits.any(axis=1)):
             bits[i, rng.integers(40)] = True
         packed = np.packbits(bits, axis=1)
-        greedy = module._greedy_cover(packed, 40)
+        greedy = module._greedy_cover(packed, module._column_counts(packed, np.ones(50, bool), 40))
         start = time.process_time()
         cover = module._exact_cover(module._column_masks(packed, 40), (1 << 50) - 1, greedy)
         assert time.process_time() - start < 5.0
@@ -566,7 +749,7 @@ class TestBinarize:
                 assert view.matrix[i, j] == Literal(cp.indicator, ">=", cp.threshold).evaluate(r)
                 assert view.missing[i, j] == (cp.indicator not in r.values)
 
-    def test_in_memory_nan_is_present_and_false(self):
+    def test_in_memory_nan_is_missing(self):
         view = binarize([(rec({"G": float("nan")}), True)], [CutPoint("G", 1.0)])
         assert not view.matrix[0, 0]
-        assert not view.missing[0, 0]
+        assert view.missing[0, 0]

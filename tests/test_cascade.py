@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -20,14 +21,17 @@ from ladrating import (
     RatingScale,
     classify,
     classify_records,
+    export_decision_tree,
     first_match,
     import_decision_tree,
     key_variables,
+    split_dataset,
     suggest_rating,
     train_cascade,
 )
 from ladrating import cascade as cascade_module
 from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, value_matrix
+from ladrating.synthetic import clustered_dataset, nested_dataset
 
 from conftest import tree_text
 
@@ -61,6 +65,32 @@ def nested_16_dataset():
         records.append(rec(f"x{k}", {"G": base}, label))
         records.append(rec(f"y{k}", {"G": base + 2.0}, label))
     return Dataset(records=tuple(records))
+
+
+#: sha256 of `export_decision_tree(train_cascade(ds))`, pinned from the
+#: dict-walk training that the value-matrix training replaced: the trees must
+#: not move.
+PINNED_TREES = {
+    "nested-0": "3872795d488ff8f5a119e3224596b72d18bd18e0908dcae03316158de38a55f7",
+    "nested-1": "b76d4c10acc0fae4feb8f2ad21862a062dc69a27fca5f38e60c4233c115a0382",
+    "nested-2": "05158e6bd1167bceb35ee5477da74eedf731b4adc9de895c22ab8a1db37f6fc3",
+    "clustered-0": "299a607f05de1095b965063000b06540acfbfa448e456cf78f8466c4f208648c",
+    "clustered-1-split": "dde6a1cc2c6f7c17ffcc265ba0ce627b480dcfff6ccd704e4b8296a7fe81829b",
+    "three-class": "8bd285204bcc623316257b062db848abded282ebfba239d771f7e834c94bf364",
+    "nested-16": "b09c36d31375622b1077eb3cc7c20cbb19c0b2546c823d8ed4c3be039aab747a",
+}
+
+PINNED_DATASETS = {
+    # The train-nested benchmark inputs: n=300, a 0.65 split.
+    **{
+        f"nested-{s}": (lambda s=s: split_dataset(nested_dataset(s, n_records=300), 0.65, s))
+        for s in range(3)
+    },
+    "clustered-0": lambda: clustered_dataset(0),
+    "clustered-1-split": lambda: split_dataset(clustered_dataset(1, n_records=150), 0.65, 1),
+    "three-class": three_class_dataset,
+    "nested-16": nested_16_dataset,
+}
 
 
 class TestTrain:
@@ -110,6 +140,11 @@ class TestTrain:
         assert info.value.stage == "stage 1 (AAA)"
         assert str(info.value).startswith("opposite-class records")
         assert info.value.pairs == [("X:2012", "Y:2012")]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_TREES))
+    def test_trees_pinned(self, case):
+        tree = export_decision_tree(train_cascade(PINNED_DATASETS[case]()))
+        assert hashlib.sha256(tree.encode()).hexdigest() == PINNED_TREES[case]
 
     @pytest.mark.parametrize("value", [NAN, INF, -INF])
     def test_non_finite_value_is_a_format_error(self, value):

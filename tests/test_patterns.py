@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
@@ -296,7 +297,9 @@ class TestSelectDnf:
 
 # --- select_dnf covers against Pattern.matches -------------------------------
 
-CELL = st.one_of(st.none(), st.integers(0, 6))
+# A cell is missing (None), a grid value, or an in-memory NaN, which
+# `Literal.evaluate` reads as missing.
+CELL = st.one_of(st.none(), st.integers(0, 6), st.just(math.nan))
 
 
 @given(
@@ -305,6 +308,13 @@ CELL = st.one_of(st.none(), st.integers(0, 6))
     ex_cuts=st.sets(st.integers(0, 5), max_size=2),
     min_prevalence=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
     min_homogeneity=st.sampled_from([0.5, 1.0]),
+)
+@example(  # a NaN positive must not count as covered by (G <= 0.5)
+    rows=[(math.nan, None, True), (2, None, False)],
+    g_cuts={0},
+    ex_cuts=set(),
+    min_prevalence=0.0,
+    min_homogeneity=1.0,
 )
 @settings(max_examples=150, deadline=None)
 def test_select_dnf_covers_agree_with_pattern_matches(
