@@ -25,7 +25,6 @@ from .cascade import (
     first_match,
     import_decision_tree,
     key_variables,
-    suggest_rating,
     train_cascade,
 )
 from .data import (

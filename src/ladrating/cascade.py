@@ -279,19 +279,6 @@ def classify_records(
     return [labels[i] for i in index.tolist()]
 
 
-def _require_unrated(record: CountryRecord) -> None:
-    if record.observed_rating is not None:
-        raise DataFormatError(
-            f"{record.record_id} already carries rating {record.observed_rating!r}"
-        )
-
-
-def suggest_rating(model: CascadeModel, record: CountryRecord) -> Optional[str]:
-    """Classify an unrated record; the result is a suggestion, not a fact."""
-    _require_unrated(record)
-    return classify(model, record)
-
-
 def import_decision_tree(
     source: str,
     scale: RatingScale,

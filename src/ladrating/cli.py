@@ -24,7 +24,6 @@ from pathlib import Path
 from . import cascade as cascade_mod
 from .cascade import (
     CascadeModel,
-    _require_unrated,
     classify_records,
     export_decision_tree,
     import_decision_tree,
@@ -232,6 +231,14 @@ def cmd_train(args) -> int:
     _write(out.with_suffix(".train.log"), "".join(n + "\n" for n in model.notes))
     print(f"wrote {out.with_suffix('.tree.txt')}")
     return EXIT_OK
+
+
+def _require_unrated(record: CountryRecord) -> None:
+    """A suggestion is for an unrated record only."""
+    if record.observed_rating is not None:
+        raise DataFormatError(
+            f"{record.record_id} already carries rating {record.observed_rating!r}"
+        )
 
 
 def _classify_like(args, suggest: bool) -> int:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import numbers
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -92,15 +92,23 @@ class MiningConfig:
 _CHUNK_BYTES = 1 << 20
 
 
-def _literal_table(view: BinaryView) -> tuple[list[Literal], np.ndarray, np.ndarray]:
-    """Both directions per cut-point column: the literals, one group id per
-    (indicator, direction) pair, and one packed truth row per literal.
-
-    The >=-literal holds where the column does; the <=-literal (same
-    threshold) where the value is present and below it. Order: column index,
-    >= before <=. Row i is `np.packbits` of literal i's truth over the
+def _literal_rows(view: BinaryView) -> np.ndarray:
+    """One packed truth row per literal, both directions per cut-point
+    column: row 2j is where column j's >=-literal holds, row 2j + 1 where
+    its <=-literal (same threshold) does, that is where the value is present
+    and below it. Row i is `np.packbits` of literal i's truth over the
     records, so bit r of a row (big bit order) is record r.
     """
+    present = ~view.missing
+    truth = np.empty((2 * len(view.cutpoints), len(view.record_ids)), dtype=bool)
+    truth[0::2] = (view.matrix & present).T
+    truth[1::2] = (~view.matrix & present).T
+    return np.packbits(truth, axis=1)
+
+
+def _literal_table(view: BinaryView) -> tuple[list[Literal], np.ndarray, np.ndarray]:
+    """The literals in `_literal_rows` order, one group id per (indicator,
+    direction) pair, and their packed truth rows."""
     literals: list[Literal] = []
     group_ids: dict[tuple[str, str], int] = {}
     groups: list[int] = []
@@ -108,26 +116,29 @@ def _literal_table(view: BinaryView) -> tuple[list[Literal], np.ndarray, np.ndar
         for direction in (">=", "<="):
             literals.append(Literal(cp.indicator, direction, cp.threshold))
             groups.append(group_ids.setdefault((cp.indicator, direction), len(group_ids)))
-    present = ~view.missing
-    truth = np.empty((len(literals), len(view.record_ids)), dtype=bool)
-    truth[0::2] = (view.matrix & present).T
-    truth[1::2] = (~view.matrix & present).T
-    return literals, np.array(groups, dtype=np.intp), np.packbits(truth, axis=1)
+    return literals, np.array(groups, dtype=np.intp), _literal_rows(view)
 
 
 def _conjunctions(
-    rows: np.ndarray, groups: np.ndarray, labels: np.ndarray, config: MiningConfig
+    rows: np.ndarray, groups: np.ndarray, labels: np.ndarray, config: MiningConfig, prune: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The conjunctions of `rows` meeting the floors of `config`, as literal
-    index rows padded with -1, in (degree, combinations) order, with their
-    positive and negative counts.
+    index rows padded with -1 to the widest possible one, in (degree,
+    combinations) order, with their positive and negative counts.
 
     Only frequent conjunctions, those covering a positive and meeting the
     prevalence floor, are extended to the next degree: adding a literal
-    never raises coverage, so no other one has an accepted extension.
+    never raises coverage, so no other one has an accepted extension. With
+    `prune` set, a conjunction that meets both floors is not extended
+    either: each extension has it as a sub-pattern of at least its
+    prevalence, so is never prime.
     """
     pos, neg = np.packbits(labels), np.packbits(~labels)
     total_pos = int(labels.sum())
+    # A conjunction takes at most one literal of each (indicator, direction)
+    # group.
+    n_groups = int(groups.max()) + 1 if len(groups) else 0
+    width = max(1, min(config.max_degree, n_groups))
 
     def frequent(combos, covers):
         cp = np.bitwise_count(covers & pos).sum(axis=1, dtype=np.int64)
@@ -136,14 +147,16 @@ def _conjunctions(
 
     found = []
     level = [frequent(np.arange(len(rows))[:, None], rows)]
-    for degree in range(1, config.max_degree + 1):
+    for degree in range(1, width + 1):
         combos, covers, cp = (np.concatenate(part) for part in zip(*level))
         cn = np.bitwise_count(covers & neg).sum(axis=1, dtype=np.int64)
         pure = cp / (cp + cn) + _EPS >= config.min_homogeneity
-        keys = np.full((int(pure.sum()), config.max_degree), -1, dtype=np.intp)
+        keys = np.full((int(pure.sum()), width), -1, dtype=np.intp)
         keys[:, :degree] = combos[pure]
         found.append((keys, cp[pure], cn[pure]))
-        if degree == config.max_degree or not len(combos):
+        if prune:
+            combos, covers = combos[~pure], covers[~pure]
+        if degree == width or not len(combos):
             break
         level = [frequent(*chunk) for chunk in _extensions(combos, covers, rows, groups)]
         if not level:
@@ -186,8 +199,9 @@ def enumerate_patterns(
 
     A pattern must cover at least one positive record. Two literals on the
     same indicator with the same direction are redundant and never combined;
-    an interval (>= plus <=) is allowed. With `prune` set, a pattern is
-    dropped when a proper sub-pattern already meets both floors (prime
+    an interval (>= plus <=) is allowed, and no conjunction is longer than
+    the number of (indicator, direction) groups. With `prune` set, a pattern
+    is dropped when a proper sub-pattern already meets both floors (prime
     patterns only); disable for oracle comparisons.
 
     Each literal's truth over the records is one packed bit row
@@ -198,19 +212,22 @@ def enumerate_patterns(
     (cut-point column, then >= before <=), so the result keeps that order.
     Only conjunctions covering a positive and meeting the prevalence floor
     are extended to the next degree, as no extension of another one can be
-    accepted. Memory is bounded by those conjunctions of two consecutive
-    degrees, at 8 x degree + ceil(records / 8) bytes each for their indices
-    and packed covers, plus one chunk of candidates: its packed covers take
-    at most `_CHUNK_BYTES`, its temporaries a small multiple of that.
+    accepted; with `prune` set, patterns are not extended either, and a
+    listed conjunction with a listed proper sub-conjunction is dropped. The
+    smallest pattern inside a non-prime conjunction has only non-pattern
+    prefixes, so it is always listed. Memory is bounded by those
+    conjunctions of two consecutive degrees, at 8 x degree + ceil(records /
+    8) bytes each for their indices and packed covers, plus one chunk of
+    candidates: its packed covers take at most `_CHUNK_BYTES`, its
+    temporaries a small multiple of that.
     """
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
     literals, groups, rows = _literal_table(view)
-    keys, cp, cn = _conjunctions(rows, groups, view.labels, config)
+    keys, cp, cn = _conjunctions(rows, groups, view.labels, config, prune)
     if prune:
-        prevalence = cp / total_pos
-        prime = _prime(prevalence, _best_sub_prevalence(keys, prevalence), config.min_prevalence)
+        prime = ~_has_listed_sub(keys)
         keys, cp, cn = keys[prime], cp[prime], cn[prime]
     return [
         Pattern(
@@ -230,44 +247,41 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
 
 
-def _best_sub_prevalence(keys: np.ndarray, prevalence: np.ndarray) -> np.ndarray:
-    """Per listed conjunction, the highest prevalence among the listed
-    conjunctions that are its proper sub-conjunctions; -inf when none is.
+def _has_listed_sub(keys: np.ndarray) -> np.ndarray:
+    """Mask of the listed conjunctions that have a listed proper
+    sub-conjunction.
 
-    `keys` holds one row of literal indices per conjunction, padded with -1;
-    a sub-conjunction keeps the order of its literals, as enumeration does.
+    `keys` holds one row of literal indices per conjunction, padded with -1,
+    as pruned enumeration lists them: a sub-conjunction keeps the order of
+    its literals, and no prefix of a listed conjunction is listed, since a
+    pattern is never extended. So only the other sub-conjunctions are
+    looked up, all of one degree's in one search.
     """
-    best = np.full(len(keys), -np.inf)
+    found = np.zeros(len(keys), dtype=bool)
     degree = (keys >= 0).sum(axis=1)
     if not (degree > 1).any():
-        return best
-    listed = _row_keys(keys)
-    order = np.argsort(listed)
-    listed = listed[order]
+        return found
+    listed = np.sort(_row_keys(keys))
     width = keys.shape[1]
     for d in range(2, width + 1):
         rows = np.flatnonzero(degree == d)
         if not len(rows):
             continue
         block = keys[rows]
-        for size in range(1, d):
-            for kept in itertools.combinations(range(d), size):
-                sub = np.full((len(rows), width), -1, dtype=keys.dtype)
-                sub[:, :size] = block[:, kept]
-                sub_keys = _row_keys(sub)
-                at = np.searchsorted(listed, sub_keys).clip(max=len(listed) - 1)
-                hit = listed[at] == sub_keys
-                best[rows[hit]] = np.maximum(best[rows[hit]], prevalence[order[at[hit]]])
-    return best
-
-
-def _prime(prevalence: np.ndarray, best_sub: np.ndarray, floor: float) -> np.ndarray:
-    """Mask of the prime patterns at prevalence `floor`: those meeting it
-    none of whose listed proper sub-patterns meets it. A pattern with a
-    qualifying sub-pattern always has a prime one: its smallest qualifying
-    sub-pattern.
-    """
-    return (prevalence + _EPS >= floor) & ~(best_sub + _EPS >= floor)
+        # Combinations are increasing, so a prefix is one ending at size - 1.
+        kept = [
+            k
+            for size in range(1, d)
+            for k in itertools.combinations(range(d), size)
+            if k[-1] != size - 1
+        ]
+        subs = np.full((len(rows), len(kept), width), -1, dtype=keys.dtype)
+        for i, k in enumerate(kept):
+            subs[:, i, :len(k)] = block[:, k]
+        sub_keys = _row_keys(subs.reshape(-1, width))
+        at = np.searchsorted(listed, sub_keys).clip(max=len(listed) - 1)
+        found[rows] = (listed[at] == sub_keys).reshape(len(rows), len(kept)).any(axis=1)
+    return found
 
 
 def select_dnf(
@@ -278,68 +292,71 @@ def select_dnf(
 ) -> ClassDnf:
     """Greedy minimum cover of the positive records by prime patterns.
 
-    Patterns are enumerated once, unpruned, at the lowest floor the
-    relaxation schedule reaches. Each pattern's best proper-sub-pattern
-    prevalence in that list is found once, so each floor's prime pool is
-    one comparison. Repeatedly takes the pattern covering the most
-    uncovered positives; ties go to higher homogeneity, then fewer
-    literals, then enumeration order. When the coverage target cannot be
-    met, the prevalence floor is relaxed along the schedule, skipping steps
-    at or above the current floor, as they could add no coverage. A
-    still-unmet target yields a partial DNF with its uncovered records
-    flagged.
+    The prime patterns are enumerated once, at the lowest floor the
+    relaxation schedule reaches. A pattern is prime at a higher floor
+    exactly when it is prime at the lowest and meets that floor, since its
+    sub-patterns cover at least its positives; so a pattern joins the pool
+    when the floor reaches its prevalence. Repeatedly takes the pattern
+    covering the most uncovered positives; ties go to higher homogeneity,
+    then fewer literals, then enumeration order. When the coverage target
+    cannot be met, the prevalence floor is relaxed along the schedule,
+    skipping steps at or above the current floor, as they could add no
+    coverage. A still-unmet target yields a partial DNF with its uncovered
+    records flagged.
 
-    Positive covers are one packed matrix built from the literal table, a
-    row of ceil(records / 8) bytes per listed pattern, and each pick's
-    gains are one `np.bitwise_count` of the pool's rows against the
-    still-uncovered bits. Memory beyond enumeration's is that matrix plus
-    the literal index rows, 8 x max_degree bytes per pattern.
+    Covers are Python ints over the records (bit r of a packed row), built
+    from the packed literal rows: with prime patterns only, the pool is
+    small enough that per-pattern work in Python costs less than per-pick
+    numpy calls. The pool is a heap keyed by gain and the tie order. Gains
+    only shrink, so a stale gain is an upper bound: the top is taken when
+    its gain, recounted, is unchanged, and pushed back otherwise (lazy
+    greedy). Memory beyond enumeration's is one cover of ceil(records / 8)
+    bytes per prime pattern.
     """
     labels = view.labels
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
-    patterns = enumerate_patterns(view, lowest, prune=False)
-    literals, _, rows = _literal_table(view)
-    # Literals are looked up by their fields: a dataclass hash runs in Python.
-    fields = attrgetter("indicator", "direction", "threshold")
-    index = {fields(lit): i for i, lit in enumerate(literals)}
-    pad = [-1] * config.max_degree
-    keys = np.array(
-        [[index[fields(lit)] for lit in p.literals] + pad[p.degree:] for p in patterns],
-        dtype=np.intp,
-    ).reshape(len(patterns), config.max_degree)
-    prevalence = np.array([p.prevalence for p in patterns], dtype=float)
-    best_sub = _best_sub_prevalence(keys, prevalence)
-    # Row -1 of the table is always true, so padding leaves covers unchanged.
-    rows = np.vstack((rows, np.full(rows.shape[1], 0xFF, dtype=np.uint8)))
-    covers = np.repeat(np.packbits(labels)[None, :], len(patterns), axis=0)
-    for column in keys.T:
-        covers &= rows[column]
-    homogeneity = np.array([p.homogeneity for p in patterns], dtype=float)
-    degree = (keys >= 0).sum(axis=1)
-    # lexsort is stable, so enumeration order breaks the remaining ties.
-    tie_order = np.lexsort((degree, -homogeneity))
+    patterns = enumerate_patterns(view, lowest)
+    truth = [int.from_bytes(row.tobytes(), "big") for row in _literal_rows(view)]
+    column = {(cp.indicator, cp.threshold): j for j, cp in enumerate(view.cutpoints)}
+    packed = np.packbits(labels)
+    uncovered = int.from_bytes(packed.tobytes(), "big")
+    covers = []
+    for p in patterns:
+        cover = uncovered
+        for lit in p.literals:
+            cover &= truth[2 * column[lit.indicator, lit.threshold] + (lit.direction == "<=")]
+        covers.append(cover)
+    joining = sorted(range(len(patterns)), key=lambda i: -patterns[i].prevalence)
+    joined = 0
+    heap: list[tuple[int, float, int, int]] = []
+
+    def push(gain: int, i: int) -> None:
+        p = patterns[i]
+        heapq.heappush(heap, (-gain, -p.homogeneity, p.degree, i))
 
     selected: list[Pattern] = []
-    covered = np.zeros(rows.shape[1], dtype=np.uint8)
     n_covered = 0
     relaxations: list[float] = []
     schedule = iter(config.relaxation_schedule)
 
     while True:
-        pool = tie_order[_prime(prevalence, best_sub, floor)[tie_order]]
-        while n_covered + _EPS < target:
-            gains = np.bitwise_count(covers[pool] & ~covered).sum(axis=1)
-            # Gains only shrink, so a pattern with none drops out for good.
-            pool, gains = pool[gains > 0], gains[gains > 0]
-            if not len(pool):
-                break
-            # argmax keeps the first of equal gains: the tie order decides.
-            best = int(np.argmax(gains))
-            selected.append(patterns[pool[best]])
-            covered |= covers[pool[best]]
-            n_covered += int(gains[best])
+        while joined < len(joining) and patterns[joining[joined]].prevalence + _EPS >= floor:
+            i = joining[joined]
+            joined += 1
+            gain = (covers[i] & uncovered).bit_count()
+            if gain:
+                push(gain, i)
+        while heap and n_covered + _EPS < target:
+            stale, _, _, i = heapq.heappop(heap)
+            gain = (covers[i] & uncovered).bit_count()
+            if gain == -stale:
+                selected.append(patterns[i])
+                uncovered &= ~covers[i]
+                n_covered += gain
+            elif gain:
+                push(gain, i)
         if n_covered + _EPS >= target:
             break
         floor = next((step for step in schedule if step < floor), None)
@@ -347,11 +364,12 @@ def select_dnf(
             break
         relaxations.append(floor)
 
-    reached = np.unpackbits(covered, count=len(labels)).astype(bool)
-    uncovered = tuple(view.record_ids[i] for i in np.flatnonzero(labels & ~reached))
+    missed = np.unpackbits(
+        np.frombuffer(uncovered.to_bytes(len(packed), "big"), dtype=np.uint8), count=len(labels)
+    )
     return ClassDnf(
         rating_index=rating_index,
         patterns=tuple(selected),
-        uncovered=uncovered,
+        uncovered=tuple(view.record_ids[i] for i in np.flatnonzero(missed)),
         relaxations=tuple(relaxations),
     )

@@ -26,7 +26,6 @@ from ladrating import (
     import_decision_tree,
     key_variables,
     split_dataset,
-    suggest_rating,
     train_cascade,
 )
 from ladrating import cascade as cascade_module
@@ -187,24 +186,22 @@ class TestClassify:
 
 
 class TestSuggest:
+    """A suggestion is the classification of an unrated record; the CLI's
+    `suggest` rejects a rated one (tests/test_cli.py)."""
+
     def test_suggestion_matches_classify(self):
         model = train_cascade(three_class_dataset())
         unrated = rec("new", {"G": 52.0})
-        assert suggest_rating(model, unrated) == classify(model, unrated)
+        assert classify_records(model, [unrated]) == [classify(model, unrated)]
 
     def test_all_missing_is_unclassified(self):
         ds = replace(three_class_dataset(), scale=UNCLASSIFIED_SCALE)
         model = train_cascade(ds)
-        assert suggest_rating(model, rec("new", {})) is None
+        assert classify(model, rec("new", {})) is None
 
     def test_dominating_record_is_top_class(self):
         model = train_cascade(nested_16_dataset())
-        assert suggest_rating(model, rec("new", {"G": 1000.0})) == "AAA"
-
-    def test_rated_record_rejected(self):
-        model = train_cascade(three_class_dataset())
-        with pytest.raises(DataFormatError):
-            suggest_rating(model, rec("new", {"G": 1.0}, "AAA"))
+        assert classify(model, rec("new", {"G": 1000.0})) == "AAA"
 
 
 class TestKeyVariables:

@@ -500,13 +500,33 @@ def _reference_select_dnf(
 
 
 FLOOR = st.sampled_from([0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.7, 1.0])
+THREE_INDICATOR_ROWS = st.lists(
+    st.tuples(CELL, CELL, CELL, st.booleans()), min_size=2, max_size=12
+)
+CUTS = st.sets(st.integers(0, 5), max_size=2)
+
+
+def three_indicator_view(rows, g_cuts, ex_cuts, c_cuts):
+    """rows: (G, EX, C, label); a cut point at t + 0.5 for each t of a cut
+    set. None when no record is positive."""
+    records = []
+    for i, (g, ex, c, label) in enumerate(rows):
+        cells = (("G", g), ("EX", ex), ("C", c))
+        values = {code: float(v) for code, v in cells if v is not None}
+        records.append((rec(values, country=f"c{i}"), label))
+    if not any(label for _, label in records):
+        return None
+    cuts = [CutPoint("C", t + 0.5) for t in sorted(c_cuts)]
+    cuts += [CutPoint("EX", t + 0.5) for t in sorted(ex_cuts)]
+    cuts += [CutPoint("G", t + 0.5) for t in sorted(g_cuts)]
+    return binarize(records, cuts)
 
 
 @given(
-    rows=st.lists(st.tuples(CELL, CELL, CELL, st.booleans()), min_size=2, max_size=12),
+    rows=THREE_INDICATOR_ROWS,
     g_cuts=st.sets(st.integers(0, 5), min_size=1, max_size=3),
-    ex_cuts=st.sets(st.integers(0, 5), max_size=2),
-    c_cuts=st.sets(st.integers(0, 5), max_size=2),
+    ex_cuts=CUTS,
+    c_cuts=CUTS,
     max_degree=st.integers(1, 3),
     min_prevalence=FLOOR,
     min_homogeneity=st.sampled_from([0.5, 0.75, 1.0]),
@@ -518,17 +538,9 @@ def test_matches_reference_enumeration_and_selection(
     rows, g_cuts, ex_cuts, c_cuts, max_degree, min_prevalence, min_homogeneity, target,
     schedule,
 ):
-    records = []
-    for i, (g, ex, c, label) in enumerate(rows):
-        cells = (("G", g), ("EX", ex), ("C", c))
-        values = {code: float(v) for code, v in cells if v is not None}
-        records.append((rec(values, country=f"c{i}"), label))
-    if not any(label for _, label in records):
+    view = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
+    if view is None:
         return
-    cuts = [CutPoint("C", t + 0.5) for t in sorted(c_cuts)]
-    cuts += [CutPoint("EX", t + 0.5) for t in sorted(ex_cuts)]
-    cuts += [CutPoint("G", t + 0.5) for t in sorted(g_cuts)]
-    view = binarize(records, cuts)
     config = MiningConfig(
         max_degree=max_degree,
         min_prevalence=min_prevalence,
@@ -537,6 +549,30 @@ def test_matches_reference_enumeration_and_selection(
         relaxation_schedule=schedule,
     )
     assert_matches_reference(view, config)
+
+
+@given(
+    rows=THREE_INDICATOR_ROWS,
+    g_cuts=st.sets(st.integers(0, 5), min_size=1, max_size=3),
+    ex_cuts=CUTS,
+    c_cuts=CUTS,
+    max_degree=st.integers(1, 4),
+    min_homogeneity=st.sampled_from([0.5, 0.75, 1.0]),
+    schedule=st.lists(FLOOR, min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_lowest_floor_primes_filtered_are_each_floors_primes(
+    rows, g_cuts, ex_cuts, c_cuts, max_degree, min_homogeneity, schedule
+):
+    # select_dnf takes every floor's pool from the primes of the lowest one.
+    view = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
+    if view is None:
+        return
+    config = MiningConfig(max_degree=max_degree, min_homogeneity=min_homogeneity)
+    primes = enumerate_patterns(view, replace(config, min_prevalence=min(schedule)))
+    for floor in schedule:
+        expected = enumerate_patterns(view, replace(config, min_prevalence=floor))
+        assert [p for p in primes if p.prevalence + _EPS >= floor] == expected
 
 
 def assert_matches_reference(view, config):
@@ -633,3 +669,57 @@ def test_many_cuts_on_one_indicator_match_reference():
         assert repeated > 0.75 * len(combos)
         assert_matches_reference(view, config)
         assert any(p.degree > 1 for p in enumerate_patterns(view, config, prune=False))
+
+
+def test_patterns_are_not_extended_when_pruning(monkeypatch):
+    # An extension of a pattern has that pattern as a sub-pattern, so is
+    # never prime: pruned enumeration must not build it.
+    seen = []
+    extensions = patterns_module._extensions
+
+    def spy(prefixes, covers, rows, groups):
+        seen.extend(map(tuple, prefixes.tolist()))
+        return extensions(prefixes, covers, rows, groups)
+
+    monkeypatch.setattr(patterns_module, "_extensions", spy)
+    rng = random.Random(13)
+    config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.75)
+    extended_patterns = pruned_prefixes = 0
+    for _ in range(8):
+        view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 20)
+        literals = patterns_module._literal_table(view)[0]
+        seen.clear()
+        accepted = {p.literals for p in enumerate_patterns(view, config, prune=False)}
+        extended_patterns += sum(tuple(literals[i] for i in row) in accepted for row in seen)
+        seen.clear()
+        enumerate_patterns(view, config)
+        pruned_prefixes += len(seen)
+        assert not any(tuple(literals[i] for i in row) in accepted for row in seen)
+    # Both counts must be non-zero, or the data shows nothing.
+    assert extended_patterns > 0
+    assert pruned_prefixes > 0
+
+
+def test_max_degree_is_capped_at_the_literal_groups(monkeypatch):
+    # Three indicators give six (indicator, direction) groups, and a
+    # conjunction takes at most one literal of each.
+    widths = []
+    conjunctions = patterns_module._conjunctions
+
+    def spy(*args):
+        keys, cp, cn = conjunctions(*args)
+        widths.append(keys.shape[1])
+        return keys, cp, cn
+
+    monkeypatch.setattr(patterns_module, "_conjunctions", spy)
+    cuts = {"C": [0.5, 1.5], "EX": [0.5, 1.5], "G": [0.5, 1.5]}
+    view = random_view(random.Random(2), cuts, 16)
+    six = MiningConfig(max_degree=6, min_prevalence=0.0, min_homogeneity=0.5)
+    huge = replace(six, max_degree=10_000)
+    assert max(p.degree for p in enumerate_patterns(view, six, prune=False)) == 6
+    for prune in (True, False):
+        assert enumerate_patterns(view, huge, prune=prune) == enumerate_patterns(
+            view, six, prune=prune
+        )
+    assert select_dnf(view, huge) == select_dnf(view, six)
+    assert widths and max(widths) <= 6
