@@ -123,7 +123,11 @@ class StageRecords(Sequence[tuple[CountryRecord, bool]]):
 def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows with a value in ascending value order, the positions among
     them where a run of equal values starts, and the midpoints between
-    consecutive runs."""
+    consecutive runs.
+
+    A midpoint is `(a + b) / 2`, except where `a + b` overflows (finite
+    values above about 8.9e307), where it is `a / 2 + b / 2`: halving is
+    exact there, so that is the same midpoint, rounded once."""
     order = np.argsort(column)  # NaN sorts last
     present = order[: len(order) - int(np.isnan(column).sum())]
     values = column[present]
@@ -131,7 +135,12 @@ def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is_start[1:] = values[1:] != values[:-1]
     starts = np.flatnonzero(is_start)
     runs = values[starts]
-    return present, starts, (runs[:-1] + runs[1:]) / 2.0
+    low, high = runs[:-1], runs[1:]
+    with np.errstate(over="ignore"):
+        midpoints = (low + high) / 2.0
+    over = np.isinf(midpoints)  # an infinite run gives the same either way
+    midpoints[over] = low[over] / 2.0 + high[over] / 2.0
+    return present, starts, midpoints
 
 
 def _as_stage(records: LabeledRecords, codes: Sequence[str]) -> StageRecords:

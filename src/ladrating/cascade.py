@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +108,65 @@ class CascadeModel:
         table.append((fallback, ()))
         return tuple(table)
 
+    @cached_property
+    def _first_match_index(self) -> Callable[[Callable[[str, float], float]], int]:
+        """`_first_match` compiled into one function of a record's
+        `values.get`, returning the index of the first entry whose checks
+        all hold: the index `first_match` gives. Built on the first
+        `classify`, once per model (see `_compile_first_match`)."""
+        return _compile_first_match(self._first_match)
+
+    def __getstate__(self):
+        # A generated function does not pickle; a copy compiles its own.
+        state = self.__dict__.copy()
+        state.pop("_first_match_index", None)
+        return state
+
+
+def _bound(t: float) -> str:
+    """A threshold as source: the `repr` of a finite float, else a name."""
+    t = float(t)
+    if math.isfinite(t):
+        return repr(t)
+    return "NAN" if t != t else "INF" if t > 0 else "NINF"
+
+
+def _compare(x: str, lo: float, hi: float) -> str:
+    """The check `lo <= x <= hi` as source, with no compare against ±inf."""
+    if lo == -math.inf and hi == math.inf:
+        return f"{x} == {x}"  # false only for NaN, which a missing value reads as
+    if hi == math.inf:
+        return f"{x} >= {_bound(lo)}"
+    if lo == -math.inf:
+        return f"{x} <= {_bound(hi)}"
+    return f"{_bound(lo)} <= {x} <= {_bound(hi)}"
+
+
+def _compile_first_match(table: Sequence[tuple[Optional[str], tuple[Check, ...]]]):
+    """One Python function for a first-match table, as `dataclasses` builds
+    `__init__`: it reads each code once, `x_i = get(K[i], NAN)`, then has
+    one `if` per entry whose compares return the entry's index, and an entry
+    without checks returns unconditionally and ends the function.
+
+    Only fixed names, integer indices and the `repr` of finite float
+    thresholds reach `compile`; the codes are bound as the tuple `K`, ±inf
+    and NaN as names, so no data string becomes source. The function is
+    popped from its globals, so the two form no reference cycle.
+    """
+    codes = tuple(dict.fromkeys(code for _, checks in table for code, _, _ in checks))
+    slot = {code: f"x{i}" for i, code in enumerate(codes)}
+    lines = ["def first_match_index(get):"]
+    lines += [f"    x{i} = get(K[{i}], NAN)" for i in range(len(codes))]
+    for e, (_, checks) in enumerate(table):
+        if not checks:
+            lines.append(f"    return {e}")
+            break
+        test = " and ".join(_compare(slot[code], lo, hi) for code, lo, hi in checks)
+        lines += [f"    if {test}:", f"        return {e}"]
+    namespace = {"K": codes, "NAN": _NAN, "INF": math.inf, "NINF": -math.inf}
+    exec(compile("\n".join(lines), "<first-match table>", "exec"), namespace)
+    return namespace.pop("first_match_index")
+
 
 def dataset_fingerprint(dataset: Dataset) -> str:
     return hashlib.sha256(serialize_dataset(dataset).encode()).hexdigest()[:16]
@@ -196,19 +255,16 @@ def train_cascade(
 def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
     """Rating of the first matching stage; None means Unclassified.
 
-    Walks the model's first-match table (`CascadeModel._first_match`): the
-    label of the first entry whose `(code, lo, hi)` checks all hold, where a
-    missing value or a NaN holds for none. The references it must agree with
-    are the stage walks over `Literal.evaluate`: `ClassDnf.matches`, and the
-    oracles in the tests and the benchmark.
+    The label of the first entry of the model's first-match table
+    (`CascadeModel._first_match`) whose `(code, lo, hi)` checks all hold,
+    where a missing value or a NaN holds for none. The table is compiled
+    into one Python function on the model's first `classify`
+    (`CascadeModel._first_match_index`), so a call is that function plus a
+    label lookup. The references it must agree with are the stage walks
+    over `Literal.evaluate`: `ClassDnf.matches`, and the oracles in the
+    tests and the benchmark.
     """
-    get = record.values.get
-    for label, checks in model._first_match:
-        for code, lo, hi in checks:
-            if not lo <= get(code, _NAN) <= hi:
-                break
-        else:
-            return label
+    return model._first_match[model._first_match_index(record.values.get)][0]
 
 
 def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -> np.ndarray:

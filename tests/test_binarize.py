@@ -460,6 +460,16 @@ class TestCandidates:
         cuts = candidate_cutpoints(labeled([(3166, False), (7189, True)]), "G")
         assert cuts == [CutPoint("G", 5177.5)]
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1.0e308, 1.6e308), (-1.6e308, -1.0e308), (1.7e308, 1.7976931348623157e308), (-1.7e308, 1.7e308)],
+    )
+    def test_midpoint_of_values_whose_sum_overflows(self, low, high):
+        # Halving these is exact, so a / 2 + b / 2 is the midpoint rounded once.
+        cuts = candidate_cutpoints(labeled([(low, False), (high, True)]), "G")
+        assert cuts == [CutPoint("G", low / 2 + high / 2)]
+        assert low < cuts[0].threshold < high
+
     def test_single_class_yields_nothing(self):
         assert candidate_cutpoints(labeled([(1, True), (2, True), (3, True)]), "G") == []
 

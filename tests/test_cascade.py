@@ -1,8 +1,14 @@
+import copy
+import gc
 import hashlib
 import itertools
 import math
+import pickle
+import random
+import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +38,7 @@ from ladrating import cascade as cascade_module
 from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, value_matrix
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
-from conftest import tree_text
+from conftest import TREE_YEARS, tree_text
 
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
 POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
@@ -268,6 +274,18 @@ def _first_match_walk(model, record):
     return None
 
 
+def _table_walk(model, record):
+    """Reference: the loop over `CascadeModel._first_match` that `classify`
+    ran before the table was compiled into a function."""
+    get = record.values.get
+    for label, checks in model._first_match:
+        for code, lo, hi in checks:
+            if not lo <= get(code, NAN) <= hi:
+                break
+        else:
+            return label
+
+
 def _entry_names(model):
     """The name of each entry of the model's first-match table, in its order."""
     names = [("stage", s.rating_index, j) for s in model.stages for j in range(len(s.patterns))]
@@ -277,9 +295,15 @@ def _entry_names(model):
 
 
 def _assert_batch_agrees(model, records):
+    """`classify`, `classify_records` and both reference walks give the same
+    labels, and the compiled table the same entry indices as `first_match`."""
     batch = classify_records(model, records)
     assert batch == [classify(model, r) for r in records]
     assert batch == [_first_match_walk(model, r) for r in records]
+    assert batch == [_table_walk(model, r) for r in records]
+    codes = sorted({code for _, entry in model._first_match for code, _, _ in entry})
+    index = first_match(model, codes, value_matrix(records, codes)).tolist()
+    assert [model._first_match_index(r.values.get) for r in records] == index
 
 
 SMALL_CLASSES = ("A", "B", "C", "D")
@@ -288,10 +312,16 @@ GRID = (0.0, 1.0, 2.0)
 literals = st.builds(
     Literal, st.sampled_from(CODES), st.sampled_from((">=", "<=")), st.sampled_from(GRID)
 )
-# Empty literal lists give zero-literal patterns, empty pattern lists empty stages.
-pattern_lists = st.lists(
-    st.lists(literals, max_size=3).map(lambda lits: Pattern(literals=tuple(lits))), max_size=3
-)
+
+
+def pattern_lists_of(literals):
+    # Empty literal lists give zero-literal patterns, empty pattern lists empty stages.
+    return st.lists(
+        st.lists(literals, max_size=3).map(lambda lits: Pattern(literals=tuple(lits))), max_size=3
+    )
+
+
+pattern_lists = pattern_lists_of(literals)
 # NaN and ±inf: in-memory values load_dataset would reject.
 values = st.sampled_from((-INF, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, INF, NAN))
 records = st.lists(
@@ -300,13 +330,40 @@ records = st.lists(
 
 
 @st.composite
-def hand_built_models(draw):
-    scale = RatingScale(SMALL_CLASSES, fallback_policy=draw(st.sampled_from(POLICIES)))
-    stages = tuple(
-        ClassDnf(k, tuple(draw(pattern_lists))) for k in range(1, len(SMALL_CLASSES))
-    )
-    tail = draw(st.none() | pattern_lists.map(lambda ps: ClassDnf(len(SMALL_CLASSES), tuple(ps))))
+def hand_built_models(draw, patterns=pattern_lists, classes=SMALL_CLASSES):
+    scale = RatingScale(classes, fallback_policy=draw(st.sampled_from(POLICIES)))
+    stages = tuple(ClassDnf(k, tuple(draw(patterns))) for k in range(1, len(classes)))
+    tail = draw(st.none() | patterns.map(lambda ps: ClassDnf(len(classes), tuple(ps))))
     return CascadeModel(scale=scale, year=2012, stages=stages, tail=tail)
+
+
+MAX_FLOAT = 1.7976931348623157e308
+#: Signed zeros, the smallest subnormal and normal, the largest finite and
+#: the infinities.
+EDGE_THRESHOLDS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX_FLOAT, -MAX_FLOAT, INF, -INF)
+# Under numpy 2 `repr(np.float64(1.5))` is "np.float64(1.5)", not a float literal.
+edge_thresholds = st.builds(
+    lambda t, wrap: np.float64(t) if wrap else t,
+    st.sampled_from(EDGE_THRESHOLDS) | st.floats(allow_nan=False),
+    st.booleans(),
+)
+edge_literals = st.builds(
+    Literal, st.sampled_from(CODES), st.sampled_from((">=", "<=")), edge_thresholds
+)
+
+#: Codes and labels that are not identifiers, or are source text, or are
+#: the compiled function's own names.
+HOSTILE_CODES = (
+    '"', "'''", "a\nb", "# x", "__import__('os').system('exit 1')", "x0", "K", "NAN", "", "a b", "ü",
+)
+HOSTILE_CLASSES = ("'A\"", "B\n#", "__import__('sys').exit(3)", "x0 = 1")
+hostile_literals = st.builds(
+    Literal, st.sampled_from(HOSTILE_CODES), st.sampled_from((">=", "<=")), st.sampled_from(GRID)
+)
+hostile_records = st.lists(
+    st.dictionaries(st.sampled_from(HOSTILE_CODES), values).map(lambda v: rec("probe", v)),
+    max_size=8,
+)
 
 
 def _with_policy(model, policy):
@@ -314,13 +371,16 @@ def _with_policy(model, policy):
 
 
 def _threshold_probes(model):
-    """Records on, just off and missing each threshold the model uses."""
+    """Records on, next to, just off and missing each threshold the model
+    uses, and records with every code NaN or infinite."""
     patterns = [p for s in model.stages for p in s.patterns]
     patterns += model.tail.patterns if model.tail else []
-    cuts = sorted({(lit.indicator, lit.threshold) for p in patterns for lit in p.literals})
-    probes = [rec("none", {}), rec("nan", {code: NAN for code, _ in cuts})]
+    cuts = sorted({(lit.indicator, float(lit.threshold)) for p in patterns for lit in p.literals})
+    probes = [rec("none", {})]
+    probes += [rec(f"all{v}", {code: v for code, _ in cuts}) for v in (NAN, INF, -INF)]
     for i, (code, t) in enumerate(cuts):
-        for j, v in enumerate((t - 0.5, t, t + 0.5, NAN)):
+        below, above = math.nextafter(t, -INF), math.nextafter(t, INF)
+        for j, v in enumerate((t - 0.5, below, t, above, t + 0.5, NAN)):
             values = {c: u for c, u in cuts[: i + 1]}  # neighbours on their thresholds
             values[code] = v
             probes.append(rec(f"p{i}_{j}", values))
@@ -383,10 +443,13 @@ class TestClassifyRecords:
         model = train_cascade(replace(ds, scale=RatingScale(ds.scale.classes, policy)))
         _assert_batch_agrees(model, list(ds.records) + _threshold_probes(model))
 
+    @pytest.mark.parametrize("year", TREE_YEARS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_published_tree_with_tail(self, tree_2012_model, policy):
-        model = _with_policy(tree_2012_model, policy)
-        assert model.tail is not None and model.tail.patterns
+    def test_published_tree_with_tail(self, policy, year):
+        tree = import_decision_tree(tree_text(year), DEFAULT_SCALE, year, strict=False)
+        model = _with_policy(tree, policy)
+        # 2013 publishes "No case" for BM, so it has no last-class row.
+        assert bool(model.tail and model.tail.patterns) == (year != 2013)
         _assert_batch_agrees(model, _threshold_probes(model))
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -433,6 +496,7 @@ class TestClassifyRecords:
         )
         probes = [rec("a", {"G": 9.0}), rec("b", {"G": 1.0}), rec("c", {})]
         assert classify_records(model, probes) == ["A", "B", "B"]
+        assert [classify(model, r) for r in probes] == ["A", "B", "B"]
 
     def test_no_records(self, tree_2012_model):
         assert classify_records(tree_2012_model, []) == []
@@ -443,3 +507,94 @@ class TestClassifyRecords:
         expected = [classify(tree_2012_model, r) for r in probes]
         monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", rows)
         assert classify_records(tree_2012_model, probes) == expected
+
+
+class TestCompiledTable:
+    """`classify` runs the model's first-match table compiled into one
+    function (`CascadeModel._first_match_index`)."""
+
+    @given(hand_built_models(pattern_lists_of(edge_literals)))
+    @settings(max_examples=300, deadline=None)
+    def test_thresholds_at_the_edges(self, model):
+        _assert_batch_agrees(model, _threshold_probes(model))
+
+    def test_every_edge_threshold(self):
+        for t in EDGE_THRESHOLDS + tuple(map(np.float64, EDGE_THRESHOLDS)):
+            ge, le = Literal("G", ">=", t), Literal("G", "<=", t)
+            model = CascadeModel(
+                RatingScale(SMALL_CLASSES, fallback_policy=UNCLASSIFIED_POLICY),
+                2012,
+                (
+                    ClassDnf(1, (Pattern((ge, Literal("EX", "<=", t))),)),
+                    ClassDnf(2, (Pattern((ge,)),)),
+                    ClassDnf(3, (Pattern((le,)),)),
+                ),
+                tail=ClassDnf(4, (Pattern((Literal("EX", ">=", t),)),)),
+            )
+            _assert_batch_agrees(model, _threshold_probes(model))
+
+    @given(hand_built_models(pattern_lists_of(hostile_literals), HOSTILE_CLASSES), hostile_records)
+    @settings(max_examples=200, deadline=None)
+    def test_hostile_codes_and_labels(self, model, records):
+        _assert_batch_agrees(model, records + _threshold_probes(model))
+
+    def test_two_thousand_entries(self):
+        rng = random.Random(0)
+
+        def window():  # a narrow band on one code, so probes walk far down the table
+            code, low = rng.choice(CODES), round(rng.uniform(-3.0, 3.0), 3)
+            return (Literal(code, ">=", low), Literal(code, "<=", low + 0.01))
+
+        stages = tuple(
+            ClassDnf(k, tuple(Pattern(window() + window()[: rng.randint(0, 2)]) for _ in range(700)))
+            for k in (1, 2, 3)
+        )
+        model = CascadeModel(RatingScale(SMALL_CLASSES), 2012, stages)
+        assert len(model._first_match) > 2000
+        probes = [
+            rec(f"p{i}", {c: round(rng.uniform(-3.0, 3.0), 3) for c in CODES if rng.random() < 0.9})
+            for i in range(200)
+        ]
+        _assert_batch_agrees(model, probes)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy, replace],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_classified_model_still_copies(self, duplicate):
+        model = import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False)
+        probes = _threshold_probes(model)
+        before = [classify(model, r) for r in probes]
+        assert "_first_match_index" in vars(model)
+        again = duplicate(model)
+        assert again == model
+        assert [classify(again, r) for r in probes] == before
+
+    def test_import_and_training_compile_nothing(self, monkeypatch):
+        tables = []
+        compile_table = cascade_module._compile_first_match
+        monkeypatch.setattr(
+            cascade_module, "_compile_first_match", lambda t: tables.append(t) or compile_table(t)
+        )
+        imported = import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False)
+        trained = train_cascade(three_class_dataset())
+        assert tables == []
+        assert "_first_match_index" not in vars(imported)
+        assert "_first_match_index" not in vars(trained)
+        probes = [rec("a", {"G": 99.0}), rec("b", {"G": 1.0})]
+        assert [classify(trained, r) for r in probes] == ["AAA", "BM"]
+        assert tables == [trained._first_match]
+
+    def test_compiled_function_is_freed_without_the_collector(self):
+        model = train_cascade(three_class_dataset())
+        classify(model, rec("a", {"G": 1.0}))
+        freed = weakref.ref(model._first_match_index)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()

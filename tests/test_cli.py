@@ -93,6 +93,22 @@ def test_train_contradiction_exit_code(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_train_separates_values_whose_sum_overflows(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(
+        "country,year,rating,G\n"
+        "A,2012,AAA,1.7e308\nB,2012,AAA,1.6e308\nC,2012,BM,1.0e308\nD,2012,BM,0.9e308\n"
+    )
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(data), "--year", "2012", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    model = import_decision_tree((tmp_path / "m.tree.txt").read_text(), DEFAULT_SCALE, 2012)
+    (pattern,) = model.stages[0].patterns
+    (literal,) = pattern.literals
+    assert literal.indicator == "G" and literal.direction == ">="
+    assert 1.0e308 < literal.threshold < 1.6e308
+
+
 def test_train_coverage_failure_exit_code(tmp_path):
     # two separated positive islands, relaxation disabled, full coverage demanded
     data = tmp_path / "thin.csv"
