@@ -10,7 +10,6 @@ row under the unclassified policy).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,6 @@ from .data import (
     FALLBACK_TO_LAST,
     Indicator,
     RatingScale,
-    serialize_dataset,
     value_matrix,
 )
 from .errors import DataFormatError, LadError
@@ -35,10 +33,14 @@ from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
 
-#: Rows per block in `first_match`. Its arrays then take about
-#: `_BLOCK_ROWS` x (codes + 2 + 3 x entries) x 8 bytes: under 0.4 MB on the
-#: published trees (20 codes, at most 56 entries).
-_BLOCK_ROWS = 256
+#: Rows per block in `first_match`. A block's bool arrays take about
+#: `_BLOCK_ROWS` x (entries + distinct checks) bytes: on the published trees
+#: (at most 56 entries and 136 distinct checks) about 1.9 MB at 10,000 rows
+#: and 3.1 MB for a full block. Its Python loop runs once per entry and
+#: check of every block, so small blocks are slow: on three published trees
+#: at 10,000 rows, 4096-row blocks took about 1.5x and 256-row blocks 12x
+#: the time of one 16384-row block.
+_BLOCK_ROWS = 16384
 
 _NAN = math.nan
 
@@ -169,7 +171,9 @@ def _compile_first_match(table: Sequence[tuple[Optional[str], tuple[Check, ...]]
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
-    return hashlib.sha256(serialize_dataset(dataset).encode()).hexdigest()[:16]
+    """The fingerprint a trained model records: `Dataset.fingerprint`,
+    computed once per dataset instance."""
+    return dataset.fingerprint
 
 
 def train_cascade(
@@ -270,49 +274,49 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
 def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -> np.ndarray:
     """Index into `model._first_match` of each row's first matching entry.
 
-    `values` is a float matrix, one row per record and one column per code
-    of `codes`, NaN for a missing value (as `value_matrix` builds it); a
-    code the matrix lacks reads as NaN. The model's table becomes three
-    W x entries arrays, W the most checks of any entry: slot d of entry e
-    holds the column, `lo` and `hi` of that entry's d-th check, and a slot
-    past an entry's last check holds an always-true check, `-inf <= 0.0 <=
-    +inf` on a pad column of zeros. A row matches an entry when the checks
-    in all W of its slots hold, `lo <= x <= hi`, which NaN fails; the last
-    entry, the fallback, holds only pad slots, so every row matches one.
+    `values` is a float matrix in any layout, one row per record and one
+    column per code of `codes`, NaN for a missing value (as `value_matrix`
+    builds it); a column-major one (`Dataset.labeled_arrays`) reads each
+    column contiguously. Per block of `_BLOCK_ROWS` rows, each distinct
+    check of the table becomes one boolean column on first use
+    (`_check_truth`), and row e of an entries x rows matrix is the AND of
+    entry e's check columns. The fallback entry has no checks, so its row
+    stays all-true and every row matches one. Besides `values`, a block
+    holds about `_BLOCK_ROWS` x (entries + distinct checks) bytes.
 
-    Rows go through in blocks of `_BLOCK_ROWS`, so the arrays held at once
-    besides `values` take about `_BLOCK_ROWS` x (codes + 2 + 3 x entries)
-    x 8 bytes, whatever the number of rows. `values` is only read:
-    `evaluate` passes the matrix its dataset builds once and keeps
-    (`Dataset.labeled_arrays`), and rows keep their order, which is the
-    record order mismatch rows that tie fall back on.
+    `values` is only read, and rows keep their order, which is the record
+    order that `evaluate`'s mismatch rows fall back on when they tie.
     """
     table = model._first_match
-    width = max(len(entry) for _, entry in table) or 1
-    # Column len(codes) is all NaN, for the codes `values` lacks; the one
-    # after it is the pad column of zeros.
     column_of = {code: j for j, code in enumerate(codes)}
-    pad = (len(codes) + 1, -math.inf, math.inf)
-    column, lo, hi = np.array([
-        [(column_of.get(code, len(codes)), low, high) for code, low, high in entry]
-        + [pad] * (width - len(entry))
-        for _, entry in table
-    ]).transpose(2, 1, 0)
-    column = column.astype(np.intp)
-
     index = np.empty(len(values), dtype=np.intp)
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
-        x = np.zeros((len(block), len(codes) + 2))
-        x[:, :-2] = block
-        x[:, -2] = _NAN
-        matches = np.ones((len(block), len(table)), dtype=bool)
-        for d in range(width):
-            v = x[:, column[d]]
-            matches &= lo[d] <= v
-            matches &= v <= hi[d]
-        index[start:start + len(block)] = matches.argmax(axis=1)
+        truth: dict[Check, np.ndarray] = {}
+        matches = np.ones((len(table), len(block)), dtype=bool)
+        for row, (_, checks) in zip(matches, table):
+            for check in checks:
+                held = truth.get(check)
+                if held is None:
+                    held = truth[check] = _check_truth(block, column_of.get(check[0]), check)
+                row &= held
+        index[start:start + len(block)] = matches.argmax(axis=0)
     return index
+
+
+def _check_truth(block: np.ndarray, column: Optional[int], check: Check) -> np.ndarray:
+    """Where `lo <= x <= hi` holds on `block[:, column]`, with the split of
+    `_compare`: one compare when a bound is infinite. NaN fails every
+    compare; no column (a code the matrix lacks) holds nowhere."""
+    if column is None:
+        return np.zeros(len(block), dtype=bool)
+    _, lo, hi = check
+    x = block[:, column]
+    if hi == math.inf:
+        return x >= lo
+    if lo == -math.inf:
+        return x <= hi
+    return (lo <= x) & (x <= hi)
 
 
 def classify_records(

@@ -8,6 +8,7 @@ to the usual Fitch glyphs.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import random
@@ -155,10 +156,12 @@ def sort_ranks(items: Sequence[str]) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LabeledArrays:
     """A dataset's labeled records as arrays, one row per record in
-    `Dataset.labeled_records` order. The arrays are read-only."""
+    `Dataset.labeled_records` order. The arrays are read-only. `values` is
+    column-major, so that `first_match` reads each code's column
+    contiguously."""
 
     codes: tuple[str, ...]  # the columns of `values`: `Dataset.indicator_codes()`
-    values: np.ndarray  # rows x codes, NaN for a missing value
+    values: np.ndarray  # rows x codes, NaN for a missing value; column-major
     observed: np.ndarray  # `rating_codes` of the observed ratings
     labels: tuple[str, ...]  # labels[c - 1] is the label of code c
     country_ids: tuple[str, ...]
@@ -177,8 +180,9 @@ class Dataset:
     """Records, their rating scale and an optional train/test split.
 
     Records and their `values` are treated as read-only once the dataset is
-    built: `labeled_arrays` is computed from them once, on first use, and
-    kept, so changing a record's values afterwards leaves it stale.
+    built: `labeled_arrays` and `fingerprint` are computed from them once,
+    on first use, and kept, so changing a record's values afterwards leaves
+    them stale.
     """
 
     records: tuple[CountryRecord, ...]
@@ -209,6 +213,13 @@ class Dataset:
         return tuple(ordered)
 
     @cached_property
+    def fingerprint(self) -> str:
+        """The first 16 hex digits of the sha256 of `serialize_dataset`,
+        which models record in their provenance. Built on first use, once
+        per instance, as `labeled_arrays` is."""
+        return hashlib.sha256(serialize_dataset(self).encode()).hexdigest()[:16]
+
+    @cached_property
     def labeled_arrays(self) -> LabeledArrays:
         """The labeled records as arrays: their values over
         `indicator_codes()`, observed rating codes, country ranks and split
@@ -232,7 +243,7 @@ class Dataset:
 
         return LabeledArrays(
             codes=codes,
-            values=value_matrix(labeled, codes),
+            values=np.asfortranarray(value_matrix(labeled, codes)),
             observed=np.array(observed, dtype=np.intp),
             labels=tuple(known),
             country_ids=country_ids,

@@ -91,10 +91,11 @@ def _build_report(
     kind = (directed * (1 + (distance > 0)))[rows].tolist()
     # tuple.__new__ makes each row from its zipped fields, without the
     # argument handling of a Mismatch(...) call per row.
+    names = np.array(labels, dtype=object)
     mismatches = tuple(map(tuple.__new__, repeat(Mismatch), zip(
         [country_ids[i] for i in rows.tolist()],
-        [labels[m] for m in model[rows].tolist()],
-        [labels[o] for o in observed[rows].tolist()],
+        names[model[rows]].tolist(),
+        names[observed[rows]].tolist(),
         [d if k else None for d, k in zip(distance[rows].tolist(), kind)],
         [_DIRECTIONS[k] for k in kind],
     )))

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import importlib
 import itertools
 import math
 import pickle
@@ -35,11 +36,12 @@ from ladrating import (
     train_cascade,
 )
 from ladrating import cascade as cascade_module
-from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, value_matrix
+from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, Split, value_matrix
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
 from conftest import TREE_YEARS, tree_text
 
+data_module = importlib.import_module("ladrating.data")
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
 POLICIES = (FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)
 NAN = float("nan")
@@ -150,6 +152,23 @@ class TestTrain:
     def test_trees_pinned(self, case):
         tree = export_decision_tree(train_cascade(PINNED_DATASETS[case]()))
         assert hashlib.sha256(tree.encode()).hexdigest() == PINNED_TREES[case]
+
+    def test_fingerprint_is_computed_once_per_dataset(self, monkeypatch):
+        serialized = []
+        serialize = data_module.serialize_dataset
+        monkeypatch.setattr(
+            data_module, "serialize_dataset", lambda ds: serialized.append(ds) or serialize(ds)
+        )
+        ds = three_class_dataset()
+        first, second = train_cascade(ds), train_cascade(ds)
+        assert len(serialized) == 1 and serialized[0] is ds
+        expected = hashlib.sha256(serialize(ds).encode()).hexdigest()[:16]
+        assert first.provenance.dataset_fingerprint == expected
+        assert second.provenance.dataset_fingerprint == expected
+        split = replace(ds, split=Split(frozenset({("a1", 2012), ("b1", 2012), ("c1", 2012)}),
+                                        frozenset({("a2", 2012), ("b2", 2012), ("c2", 2012)})))
+        train_cascade(split)
+        assert len(serialized) == 2 and serialized[1] is split
 
     @pytest.mark.parametrize("value", [NAN, INF, -INF])
     def test_non_finite_value_is_a_format_error(self, value):
@@ -404,12 +423,13 @@ class TestClassifyRecords:
         seen = [rec("probe", {c: v for c, v in r.values.items() if c in codes}) for r in records]
         assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in seen]
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    @pytest.mark.parametrize("block_rows", [1, 7, 256, cascade_module._BLOCK_ROWS, 1 << 20])
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("kind, width", [("unequal", 3), ("no-patterns", 0), ("tree-2014", 4)])
     def test_first_match_table_shapes(self, monkeypatch, kind, width, policy, block_rows):
         # Entries of unequal widths, the fallback alone, and the widest
-        # published tree, in blocks that the row count is no multiple of.
+        # published tree, in blocks that the row count is no multiple of,
+        # and in one block larger than all the rows.
         scale = RatingScale(SMALL_CLASSES, fallback_policy=policy)
         grid = [dict(zip(CODES, v)) for v in itertools.product((NAN, 0.0, 1.0, 2.0, 3.0), repeat=3)]
         if kind == "unequal":
@@ -501,12 +521,60 @@ class TestClassifyRecords:
     def test_no_records(self, tree_2012_model):
         assert classify_records(tree_2012_model, []) == []
 
-    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 3, cascade_module._BLOCK_ROWS, 1 << 20])
     def test_block_boundaries(self, monkeypatch, tree_2012_model, rows):
         probes = _threshold_probes(tree_2012_model)[:40]
         expected = [classify(tree_2012_model, r) for r in probes]
         monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", rows)
         assert classify_records(tree_2012_model, probes) == expected
+
+    @pytest.mark.parametrize("block_rows", [3, cascade_module._BLOCK_ROWS])
+    def test_any_matrix_layout(self, monkeypatch, block_rows):
+        # The same values as a C-order matrix, a Fortran-order one and a
+        # strided view into a larger matrix give the same indices.
+        tree = import_decision_tree(tree_text(2015), DEFAULT_SCALE, 2015, strict=False)
+        model = _with_policy(tree, UNCLASSIFIED_POLICY)
+        probes = _threshold_probes(model)
+        codes = sorted({code for _, entry in model._first_match for code, _, _ in entry})
+        c_order = value_matrix(probes, codes)
+        wide = np.full((2 * len(probes), 3 * len(codes)), 7.0)
+        wide[1::2, 2::3] = c_order
+        layouts = [c_order, np.asfortranarray(c_order), wide[1::2, 2::3]]
+        assert layouts[1].flags.f_contiguous and not layouts[2].flags.c_contiguous
+        monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", block_rows)
+        indices = [first_match(model, codes, values).tolist() for values in layouts]
+        names = _entry_names(model)
+        assert [names[i] for i in indices[0]] == [_first_match_name(model, r) for r in probes]
+        assert indices[1] == indices[0] and indices[2] == indices[0]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shared_and_repeated_checks(self, monkeypatch, policy):
+        # G >= 1 is shared by two entries and repeated inside the first;
+        # G <= 2 is another check on the same code, and C >= 2 one on a code
+        # the matrix lacks. Each distinct check is computed once per block.
+        lit = Literal
+        ge1, le2 = lit("G", ">=", 1.0), lit("G", "<=", 2.0)
+        model = CascadeModel(RatingScale(SMALL_CLASSES, fallback_policy=policy), 2012, (
+            ClassDnf(1, (Pattern((ge1, lit("EX", "<=", 0.0), ge1)),)),
+            ClassDnf(2, (Pattern((le2, lit("C", ">=", 2.0))), Pattern((ge1, le2)))),
+            ClassDnf(3, (Pattern((le2,)),)),
+        ), tail=ClassDnf(4, (Pattern((ge1,)),)))
+        grid = itertools.product((NAN, 0.0, 1.0, 2.0, 3.0), (NAN, -1.0, 0.0, 1.0))
+        probes = [rec(f"g{i}", {"G": g, "EX": ex}) for i, (g, ex) in enumerate(grid)]
+        codes = ["EX", "G"]
+        computed = []
+        check_truth = cascade_module._check_truth
+        monkeypatch.setattr(
+            cascade_module, "_check_truth", lambda *a: computed.append(a[2]) or check_truth(*a)
+        )
+        monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", 7)
+        index = first_match(model, codes, value_matrix(probes, codes))
+        names = _entry_names(model)
+        assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in probes]
+        distinct = {check for _, entry in model._first_match for check in entry}
+        blocks = math.ceil(len(probes) / 7)
+        assert len(computed) == blocks * len(distinct)
+        assert set(computed) == distinct
 
 
 class TestCompiledTable:

@@ -312,6 +312,16 @@ class TestAgainstOracle:
         assert evaluate(other, split).match_ratio_test == 1.0
         assert seen[2] is split.labeled_arrays.values
 
+    def test_value_matrix_is_column_major(self):
+        ds = Dataset(tuple(
+            CountryRecord(f"c{i}", 2012, {"G": float(i), "U": 10.0 + i} if i else {"U": 10.0}, "AAA")
+            for i in range(3)
+        ))
+        arrays = ds.labeled_arrays
+        assert arrays.values.flags.f_contiguous and not arrays.values.flags.writeable
+        assert arrays.codes == ("G", "U")
+        assert str(arrays.values.tolist()) == "[[nan, 10.0], [1.0, 11.0], [2.0, 12.0]]"
+
 
 class TestRepeatOffenders:
     def test_published_mismatches_reproduce_summary(self, mismatch_rows):
