@@ -12,15 +12,14 @@ from .binarize import (
     Literal,
     all_candidate_cutpoints,
     binarize,
-    candidate_cutpoints,
     minimize_cutpoints,
 )
+from .cascade import TOOL_VERSION as __version__
 from .cascade import (
     CascadeModel,
     KeyVariableReport,
     Provenance,
     classify,
-    classify_records,
     export_decision_tree,
     first_match,
     import_decision_tree,
@@ -63,5 +62,3 @@ from .patterns import (
     enumerate_patterns,
     select_dnf,
 )
-
-__version__ = "0.1.0"

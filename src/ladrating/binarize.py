@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .data import CountryRecord, format_value, value_matrix
-from .errors import ContradictionError, DataFormatError
+from .errors import ContradictionError
 
 #: (record, is_positive) pairs, the unit the binarizer works on.
 LabeledRecords = Sequence[tuple[CountryRecord, bool]]
@@ -154,44 +154,32 @@ def _as_stage(records: LabeledRecords, codes: Sequence[str]) -> StageRecords:
     )
 
 
-def candidate_cutpoints(records: LabeledRecords, indicator: str) -> list[CutPoint]:
-    """All class-boundary cut-points for one indicator, midpoint placement.
+def all_candidate_cutpoints(
+    records: LabeledRecords, indicators: Sequence[str]
+) -> list[CutPoint]:
+    """All class-boundary cut-points, midpoint placement, merged in
+    indicator order.
 
-    One candidate between every adjacent pair of observed values whose
-    classes differ; the resulting intervals are pure. Returns [] when only
-    one class carries values. A missing value or a NaN is not observed.
+    For each indicator, one candidate between every adjacent pair of
+    observed values whose classes differ; the resulting intervals are pure.
+    An indicator carried by one class only (or by nobody) contributes
+    nothing. A missing value or a NaN is not observed.
 
-    Works on the presorted column of a `StageRecords` (plain pairs are read
+    Works on the presorted columns of a `StageRecords` (plain pairs are read
     into one first): a `reduceat` over each run of equal values tells which
     classes carry that value, and a candidate is the midpoint between two
     consecutive runs where a positive faces a negative.
     """
-    stage = _as_stage(records, (indicator,))
-    present, starts, midpoints = stage.columns[indicator]
-    if not len(present):
-        raise DataFormatError(f"indicator {indicator!r} absent from all records")
-    labels = stage.labels[present]
-    pos = np.logical_or.reduceat(labels, starts)
-    neg = ~np.logical_and.reduceat(labels, starts)
-    # Opposite classes face each other across the gap after run i.
-    faces = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
-    return [CutPoint(indicator, t) for t in midpoints[faces].tolist()]
-
-
-def all_candidate_cutpoints(
-    records: LabeledRecords, indicators: Sequence[str]
-) -> list[CutPoint]:
-    """Candidates for every indicator, merged in indicator order.
-
-    Indicators carried by one class only (or by nobody) contribute nothing.
-    """
     stage = _as_stage(records, indicators)
     cuts: list[CutPoint] = []
     for code in indicators:
-        try:
-            cuts.extend(candidate_cutpoints(stage, code))
-        except DataFormatError:
-            continue
+        present, starts, midpoints = stage.columns[code]
+        labels = stage.labels[present]
+        pos = np.logical_or.reduceat(labels, starts)
+        neg = ~np.logical_and.reduceat(labels, starts)
+        # Opposite classes face each other across the gap after run i.
+        faces = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
+        cuts += [CutPoint(code, t) for t in midpoints[faces].tolist()]
     return cuts
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from .data import (
     CountryRecord,
     Dataset,
     FALLBACK_TO_LAST,
-    Indicator,
     RatingScale,
-    value_matrix,
 )
 from .errors import DataFormatError, LadError
 from .patterns import ClassDnf, MiningConfig, Pattern, select_dnf
@@ -53,7 +51,6 @@ Check = tuple[str, float, float]
 class Provenance:
     config: MiningConfig
     dataset_fingerprint: str
-    tool_version: str = TOOL_VERSION
 
 
 @dataclass(frozen=True)
@@ -181,7 +178,6 @@ def train_cascade(
     config: MiningConfig = MiningConfig(),
     *,
     year: int = 0,
-    registry: Mapping[str, Indicator] = DEFAULT_REGISTRY,
 ) -> CascadeModel:
     """Fit the full cascade on the training split.
 
@@ -194,7 +190,7 @@ def train_cascade(
     Relaxations and uncovered positives are recorded in the model notes.
     A NaN or infinite value anywhere in the dataset is a DataFormatError,
     as in `load_dataset`, and so is a dataset with no indicator code of
-    `registry`.
+    `DEFAULT_REGISTRY`.
     """
     for record in dataset.records:
         for code, v in record.values.items():
@@ -205,7 +201,7 @@ def train_cascade(
     observed = {r.observed_rating for r in train}
     if len(observed) < 2:
         raise DataFormatError("training needs records in at least 2 classes")
-    codes = [c for c in dataset.indicator_codes() if c in registry]
+    codes = [c for c in dataset.indicator_codes() if c in DEFAULT_REGISTRY]
     if not codes:
         raise DataFormatError(
             "no indicator column to train on: no column of the data is a registry indicator code"
@@ -319,32 +315,11 @@ def _check_truth(block: np.ndarray, column: Optional[int], check: Check) -> np.n
     return (lo <= x) & (x <= hi)
 
 
-def classify_records(
-    model: CascadeModel, records: Sequence[CountryRecord]
-) -> list[Optional[str]]:
-    """`classify` of every record: the labels of `first_match`'s entries.
-
-    The records' values go into one matrix over the codes the model's
-    checks name (`value_matrix`, the helper `Dataset.labeled_arrays` uses);
-    a missing value, and an in-memory NaN, read as NaN, which no check
-    passes. The matrix is built on every call, since a plain sequence of
-    records has nowhere to keep it; `evaluate` uses the one its dataset
-    builds once. The records and their values are only read, and the
-    labels come back in record order.
-    """
-    table = model._first_match
-    codes = sorted({code for _, entry in table for code, _, _ in entry})
-    labels = [label for label, _ in table]
-    index = first_match(model, codes, value_matrix(records, codes))
-    return [labels[i] for i in index.tolist()]
-
-
 def import_decision_tree(
     source: str,
     scale: RatingScale,
     year: int,
     *,
-    registry: Mapping[str, Indicator] = DEFAULT_REGISTRY,
     strict: bool = True,
 ) -> CascadeModel:
     """Build a model from published decision-tree text.
@@ -354,9 +329,7 @@ def import_decision_tree(
     model notes.
     """
     repairs: list[str] = []
-    parsed = parse_tree_text(
-        source, scale, registry=registry, strict=strict, repairs=repairs
-    )
+    parsed = parse_tree_text(source, scale, strict=strict, repairs=repairs)
     stages = []
     for k, label in enumerate(scale.classes[:-1], start=1):
         stages.append(ClassDnf(rating_index=k, patterns=parsed.get(label, ())))
@@ -424,6 +397,8 @@ def key_variables(model: CascadeModel) -> KeyVariableReport:
     }
     groups = {}
     for lo, hi in KEY_VARIABLE_GROUPS:
+        if lo > len(model.scale):
+            continue  # a shorter scale has no such group
         hi = min(hi, len(model.scale))
         label = (
             model.scale.classes[lo - 1]

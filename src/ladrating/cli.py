@@ -21,10 +21,10 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import cascade as cascade_mod
 from .cascade import (
+    TOOL_VERSION,
     CascadeModel,
-    classify_records,
+    classify,
     export_decision_tree,
     import_decision_tree,
     key_variables,
@@ -148,7 +148,7 @@ def _emit(out, content: str):
 def _write_bundle(out: Path, model: CascadeModel, fallback: str):
     _write(out.with_suffix(".tree.txt"), export_decision_tree(model))
     prov = {
-        "tool_version": cascade_mod.TOOL_VERSION,
+        "tool_version": TOOL_VERSION,
         "year": model.year,
         "fallback_policy": fallback,
     }
@@ -210,9 +210,9 @@ def _load_data(args, scale: RatingScale) -> Dataset:
 
 
 def _records_to_classify(args, scale: RatingScale):
-    if args.country_values:
+    if args.data is None:
         return [_parse_country_values(args.country_values)]
-    return list(_load_data(args, scale).records)
+    return _load_data(args, scale).records
 
 
 def cmd_train(args) -> int:
@@ -249,8 +249,8 @@ def _classify_like(args, suggest: bool) -> int:
             _require_unrated(rec)
     kind = "suggested" if suggest else "classified"
     lines = [
-        f"{rec.country_id},{rec.year},{kind},{rating or 'UNCLASSIFIED'}"
-        for rec, rating in zip(records, classify_records(model, records))
+        f"{rec.country_id},{rec.year},{kind},{classify(model, rec) or 'UNCLASSIFIED'}"
+        for rec in records
     ]
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -383,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--model", required=True, help="decision-tree text file")
-        p.add_argument("--data", help="CSV of records to rate")
-        p.add_argument("--country-values", help='inline record, e.g. "U=80,G=60000"')
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--data", help="CSV of records to rate")
+        source.add_argument("--country-values", help='inline record, e.g. "U=80,G=60000"')
         p.add_argument("--lenient", action="store_true",
                        help="repair known print artifacts while parsing the model")
         p.add_argument("--out", help="output path (default stdout)")

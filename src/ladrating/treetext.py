@@ -7,7 +7,9 @@ Example::
     AAP     No case
 
 Parsing is whitespace- and parenthesis-insensitive. Strict mode rejects any
-malformed number or unknown indicator code with line/column positions.
+malformed number or unknown indicator code with its line and column. A
+column is 1-based, in the line as written, and points at what failed: the
+literal, the label, or the start of a stage body with no patterns.
 Lenient mode applies three documented repairs, each logged: a number with two
 dots drops the second dot (`26.17.5` -> `26.175`), a `/` inside a number is
 read as a decimal point (`0/685` -> `0.685`), and an unknown code whose
@@ -23,43 +25,42 @@ import re
 from typing import Mapping, Optional
 
 from .binarize import Literal
-from .data import DEFAULT_REGISTRY, Indicator, RatingScale
+from .data import DEFAULT_REGISTRY, RatingScale
 from .errors import DecisionTreeParseError
 from .patterns import Pattern
 
 NO_CASE = "No case"
 
-_LITERAL_RE = re.compile(r"\s*([A-Za-z]+\d*)\s*(>=|<=)\s*([^,()]+?)\s*$")
+_LITERAL_RE = re.compile(r"\s*([A-Za-z]+\d*)\s*(>=|<=)\s*([^,()\s][^,()]*?)\s*$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?([eE][+-]?\d+)?$")
+_OR_RE = re.compile(r"\bOR\b")
+_PART_RE = re.compile(r"[^,\s][^,]*")  # one literal, from its first non-blank
 
 
-def _repair_number(raw: str, repairs: list[str], line: int, col: int) -> float:
-    text = raw.strip()
-    if _NUMBER_RE.match(text):
-        return float(text)
-    fixed = text
-    if "/" in fixed:
-        fixed = fixed.replace("/", ".", 1)
-    if fixed.count(".") > 1:
-        first = fixed.index(".")
-        fixed = fixed[: first + 1] + fixed[first + 1 :].replace(".", "")
-    if _NUMBER_RE.match(fixed):
-        repairs.append(f"line {line}: repaired number {raw!r} -> {fixed!r}")
-        return float(fixed)
+def _repair_number(raw: str, repairs: Optional[list[str]], line: int, col: int) -> float:
+    """`raw` as a float. With a `repairs` log (lenient mode) a print
+    artifact is repaired and logged; without one it is an error."""
+    if _NUMBER_RE.match(raw):
+        return float(raw)
+    if repairs is not None:
+        fixed = raw.replace("/", ".", 1)
+        if fixed.count(".") > 1:
+            first = fixed.index(".")
+            fixed = fixed[: first + 1] + fixed[first + 1 :].replace(".", "")
+        if _NUMBER_RE.match(fixed):
+            repairs.append(f"line {line}: repaired number {raw!r} -> {fixed!r}")
+            return float(fixed)
     raise DecisionTreeParseError(f"malformed number {raw!r}", line, col)
 
 
-def _repair_code(
-    raw: str,
-    registry: Mapping[str, Indicator],
-    repairs: list[str],
-    line: int,
-    col: int,
-) -> str:
-    if raw in registry:
+def _repair_code(raw: str, repairs: Optional[list[str]], line: int, col: int) -> str:
+    """`raw` as an indicator code of `DEFAULT_REGISTRY`. With a `repairs`
+    log (lenient mode) trailing digits are shed and logged; without one an
+    unknown code is an error."""
+    if raw in DEFAULT_REGISTRY:
         return raw
     prefix = raw.rstrip("0123456789")
-    if prefix != raw and prefix in registry:
+    if repairs is not None and prefix != raw and prefix in DEFAULT_REGISTRY:
         repairs.append(f"line {line}: repaired indicator code {raw!r} -> {prefix!r}")
         return prefix
     raise DecisionTreeParseError(f"unknown indicator code {raw!r}", line, col)
@@ -68,7 +69,6 @@ def _repair_code(
 def parse_literal(
     text: str,
     *,
-    registry: Mapping[str, Indicator] = DEFAULT_REGISTRY,
     strict: bool = True,
     repairs: Optional[list[str]] = None,
     line: int = 0,
@@ -78,59 +78,39 @@ def parse_literal(
     if not m:
         raise DecisionTreeParseError(f"malformed literal {text.strip()!r}", line, col)
     raw_code, op, raw_value = m.groups()
-    if strict:
-        if raw_code not in registry:
-            raise DecisionTreeParseError(
-                f"unknown indicator code {raw_code!r}", line, col
-            )
-        if not _NUMBER_RE.match(raw_value.strip()):
-            raise DecisionTreeParseError(
-                f"malformed number {raw_value.strip()!r}", line, col
-            )
-        code, value = raw_code, float(raw_value)
-    else:
-        log = repairs if repairs is not None else []
-        code = _repair_code(raw_code, registry, log, line, col)
-        value = _repair_number(raw_value, log, line, col)
+    log = None if strict else ([] if repairs is None else repairs)
+    code = _repair_code(raw_code, log, line, col)
+    value = _repair_number(raw_value, log, line, col)
     if not math.isfinite(value):
         # `1e999` matches the number grammar but overflows to inf.
-        raise DecisionTreeParseError(f"non-finite threshold {raw_value.strip()!r}", line, col)
+        raise DecisionTreeParseError(f"non-finite threshold {raw_value!r}", line, col)
     return Literal(code, op, value)
 
 
 def _parse_stage_body(
-    body: str,
-    *,
-    registry: Mapping[str, Indicator],
-    strict: bool,
-    repairs: list[str],
-    line: int,
+    body: str, *, strict: bool, repairs: list[str], line: int, col: int
 ) -> tuple[Pattern, ...]:
+    """The patterns of one stage's `body`, which starts at 1-based column
+    `col` of its line. Parentheses read as blanks, which keeps every
+    literal at its column; the `OR`s split the patterns and the commas the
+    literals."""
     if body.strip().lower() == NO_CASE.lower():
         return ()
-    groups = re.split(r",?\s*\bOR\b", body)
+    plain = body.replace("(", " ").replace(")", " ")
+    # Pattern i runs from bounds[2i] to bounds[2i + 1], between two `OR`s.
+    bounds = [0] + [i for m in _OR_RE.finditer(plain) for i in m.span()] + [len(plain)]
     patterns = []
-    for group in groups:
-        col = body.find(group) + 1
-        plain = group.replace("(", " ").replace(")", " ").strip()
-        if not plain:
-            continue
+    for start, end in zip(bounds[::2], bounds[1::2]):
         literals = tuple(
             parse_literal(
-                part,
-                registry=registry,
-                strict=strict,
-                repairs=repairs,
-                line=line,
-                col=col,
+                part.group(), strict=strict, repairs=repairs, line=line, col=col + part.start()
             )
-            for part in plain.split(",")
-            if part.strip()
+            for part in _PART_RE.finditer(plain, start, end)
         )
         if literals:
             patterns.append(Pattern(literals=literals))
     if not patterns:
-        raise DecisionTreeParseError("stage body contains no patterns", line, 1)
+        raise DecisionTreeParseError("stage body contains no patterns", line, col)
     return tuple(patterns)
 
 
@@ -138,7 +118,6 @@ def parse_tree_text(
     text: str,
     scale: RatingScale,
     *,
-    registry: Mapping[str, Indicator] = DEFAULT_REGISTRY,
     strict: bool = True,
     repairs: Optional[list[str]] = None,
 ) -> dict[str, tuple[Pattern, ...]]:
@@ -155,14 +134,14 @@ def parse_tree_text(
             continue
         parts = stripped.split(None, 1)
         label = parts[0]
+        label_col = len(raw) - len(raw.lstrip()) + 1
         if label not in scale:
-            raise DecisionTreeParseError(f"unknown rating label {label!r}", lineno, 1)
+            raise DecisionTreeParseError(f"unknown rating label {label!r}", lineno, label_col)
         if label in stages:
-            raise DecisionTreeParseError(f"duplicate stage for {label!r}", lineno, 1)
+            raise DecisionTreeParseError(f"duplicate stage for {label!r}", lineno, label_col)
         body = parts[1] if len(parts) > 1 else NO_CASE
-        stages[label] = _parse_stage_body(
-            body, registry=registry, strict=strict, repairs=log, line=lineno
-        )
+        col = label_col + len(stripped) - len(body)  # `body` ends `stripped`
+        stages[label] = _parse_stage_body(body, strict=strict, repairs=log, line=lineno, col=col)
     return stages
 
 

@@ -17,8 +17,8 @@ from ladrating import (
     CutPoint,
     DataFormatError,
     Literal,
+    all_candidate_cutpoints,
     binarize,
-    candidate_cutpoints,
     minimize_cutpoints,
 )
 from ladrating.binarize import LabeledRecords, StageRecords
@@ -404,11 +404,13 @@ def oracle_problems(draw):
     return records, draw(cutpoint_lists), other
 
 
-def _candidates_or_error(candidates, records, code):
+def _reference_candidates(records, code):
+    """The reference's candidates for `code`, [] where it finds `code`
+    absent from all records: `all_candidate_cutpoints` skips that code."""
     try:
-        return candidates(records, code)
-    except DataFormatError as exc:
-        return str(exc)
+        return _reference_candidate_cutpoints(records, code)
+    except DataFormatError:
+        return []
 
 
 def _assert_matches_reference(given, records, cutpoints):
@@ -417,10 +419,11 @@ def _assert_matches_reference(given, records, cutpoints):
     plain = _without_nan(records)
     assert list(given) == records
     for code in CODES:
-        got = _candidates_or_error(candidate_cutpoints, given, code)
-        assert got == _candidates_or_error(_reference_candidate_cutpoints, plain, code)
-        if isinstance(got, list):  # Python floats, as the exported text needs
-            assert all(type(cp.threshold) is float for cp in got)
+        got = all_candidate_cutpoints(given, [code])
+        assert got == _reference_candidates(plain, code)
+        assert all(type(cp.threshold) is float for cp in got)  # as the exported text needs
+    merged = [cp for code in CODES for cp in _reference_candidates(plain, code)]
+    assert all_candidate_cutpoints(given, CODES) == merged
     got, want = binarize(given, cutpoints), _reference_binarize(plain, cutpoints)
     assert got.record_ids == want.record_ids
     assert got.cutpoints == want.cutpoints
@@ -457,7 +460,7 @@ class TestMatrixPath:
 
 class TestCandidates:
     def test_midpoint_between_opposite_classes(self):
-        cuts = candidate_cutpoints(labeled([(3166, False), (7189, True)]), "G")
+        cuts = all_candidate_cutpoints(labeled([(3166, False), (7189, True)]), ["G"])
         assert cuts == [CutPoint("G", 5177.5)]
 
     @pytest.mark.parametrize(
@@ -466,24 +469,23 @@ class TestCandidates:
     )
     def test_midpoint_of_values_whose_sum_overflows(self, low, high):
         # Halving these is exact, so a / 2 + b / 2 is the midpoint rounded once.
-        cuts = candidate_cutpoints(labeled([(low, False), (high, True)]), "G")
+        cuts = all_candidate_cutpoints(labeled([(low, False), (high, True)]), ["G"])
         assert cuts == [CutPoint("G", low / 2 + high / 2)]
         assert low < cuts[0].threshold < high
 
     def test_single_class_yields_nothing(self):
-        assert candidate_cutpoints(labeled([(1, True), (2, True), (3, True)]), "G") == []
+        assert all_candidate_cutpoints(labeled([(1, True), (2, True), (3, True)]), ["G"]) == []
 
     def test_alternating_classes(self):
-        cuts = candidate_cutpoints(labeled([(1, False), (2, True), (3, False)]), "G")
+        cuts = all_candidate_cutpoints(labeled([(1, False), (2, True), (3, False)]), ["G"])
         assert [c.threshold for c in cuts] == [1.5, 2.5]
 
-    def test_absent_indicator_errors(self):
-        with pytest.raises(DataFormatError, match="EX"):
-            candidate_cutpoints(labeled([(1, True), (2, False)]), "EX")
+    def test_absent_indicator_yields_nothing(self):
+        assert all_candidate_cutpoints(labeled([(1, True), (2, False)]), ["EX"]) == []
 
     def test_sorted_output(self):
         vals = [(5, True), (1, False), (3, True), (2, False), (9, False)]
-        cuts = candidate_cutpoints(labeled(vals), "G")
+        cuts = all_candidate_cutpoints(labeled(vals), ["G"])
         thresholds = [c.threshold for c in cuts]
         assert thresholds == sorted(thresholds)
 
@@ -493,10 +495,7 @@ class TestCandidates:
         # one label per value: a value carrying both classes is never pure
         pairs = list({v: (v, l) for v, l in pairs}.values())
         records = labeled([(float(v), l) for v, l in pairs])
-        try:
-            cuts = candidate_cutpoints(records, "G")
-        except DataFormatError:
-            return
+        cuts = all_candidate_cutpoints(records, ["G"])
         # every interval between consecutive thresholds holds one class only
         bounds = [float("-inf")] + [c.threshold for c in cuts] + [float("inf")]
         for lo, hi in zip(bounds, bounds[1:]):

@@ -27,7 +27,6 @@ from ladrating import (
     Pattern,
     RatingScale,
     classify,
-    classify_records,
     export_decision_tree,
     first_match,
     import_decision_tree,
@@ -217,7 +216,7 @@ class TestSuggest:
     def test_suggestion_matches_classify(self):
         model = train_cascade(three_class_dataset())
         unrated = rec("new", {"G": 52.0})
-        assert classify_records(model, [unrated]) == [classify(model, unrated)]
+        assert _first_match_labels(model, [unrated]) == [classify(model, unrated)]
 
     def test_all_missing_is_unclassified(self):
         ds = replace(three_class_dataset(), scale=UNCLASSIFIED_SCALE)
@@ -246,6 +245,20 @@ class TestKeyVariables:
         report = key_variables(model)
         assert report.per_stage == {}
         assert all(usage == {} for usage in report.groups.values())
+
+    def test_short_scale_leaves_out_groups_past_its_end(self):
+        scale = RatingScale(("A", "B", "C", "D"))
+        ds = Dataset(
+            records=tuple(
+                rec(f"{label}{i}", {"G": 10.0 * (4 - k) + i}, label)
+                for k, label in enumerate(scale.classes)
+                for i in (0, 1)
+            ),
+            scale=scale,
+        )
+        report = key_variables(train_cascade(ds))
+        assert list(report.groups) == ["A", "B-D"]
+        assert report.groups["B-D"] == {"G": (2, 1.0)}
 
     def test_single_pattern_counts(self):
         from ladrating import CascadeModel, ClassDnf, Literal, Pattern
@@ -313,16 +326,24 @@ def _entry_names(model):
     return names + [("fallback",)]
 
 
+def _first_match_labels(model, records):
+    """The labels of the entries `first_match` gives `records`, over the
+    `value_matrix` of the codes the model's checks name."""
+    table = model._first_match
+    codes = sorted({code for _, entry in table for code, _, _ in entry})
+    return [table[i][0] for i in first_match(model, codes, value_matrix(records, codes)).tolist()]
+
+
 def _assert_batch_agrees(model, records):
-    """`classify`, `classify_records` and both reference walks give the same
+    """`classify`, `first_match` and both reference walks give the same
     labels, and the compiled table the same entry indices as `first_match`."""
-    batch = classify_records(model, records)
-    assert batch == [classify(model, r) for r in records]
-    assert batch == [_first_match_walk(model, r) for r in records]
-    assert batch == [_table_walk(model, r) for r in records]
     codes = sorted({code for _, entry in model._first_match for code, _, _ in entry})
     index = first_match(model, codes, value_matrix(records, codes)).tolist()
     assert [model._first_match_index(r.values.get) for r in records] == index
+    labels = [classify(model, r) for r in records]
+    assert [model._first_match[i][0] for i in index] == labels
+    assert labels == [_first_match_walk(model, r) for r in records]
+    assert labels == [_table_walk(model, r) for r in records]
 
 
 SMALL_CLASSES = ("A", "B", "C", "D")
@@ -406,7 +427,10 @@ def _threshold_probes(model):
     return probes
 
 
-class TestClassifyRecords:
+class TestFirstMatch:
+    """`first_match` over a value matrix, the kernel `evaluate` runs, against
+    `classify` and the reference walks."""
+
     @given(hand_built_models(), records)
     @settings(max_examples=300, deadline=None)
     def test_matches_classify_and_literal_walk(self, model, records):
@@ -477,7 +501,7 @@ class TestClassifyRecords:
         scale = RatingScale(SMALL_CLASSES, fallback_policy=policy)
         model = CascadeModel(scale, 2012, tuple(ClassDnf(k, ()) for k in (1, 2, 3)))
         expected = "D" if policy == FALLBACK_TO_LAST else None
-        assert classify_records(model, [rec("a", {"G": 1.0}), rec("b", {})]) == [expected] * 2
+        assert _first_match_labels(model, [rec("a", {"G": 1.0}), rec("b", {})]) == [expected] * 2
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("threshold", [INF, -INF])
@@ -515,18 +539,18 @@ class TestClassifyRecords:
             (stage1, ClassDnf(2, (always,)), ClassDnf(3, ())),
         )
         probes = [rec("a", {"G": 9.0}), rec("b", {"G": 1.0}), rec("c", {})]
-        assert classify_records(model, probes) == ["A", "B", "B"]
+        assert _first_match_labels(model, probes) == ["A", "B", "B"]
         assert [classify(model, r) for r in probes] == ["A", "B", "B"]
 
     def test_no_records(self, tree_2012_model):
-        assert classify_records(tree_2012_model, []) == []
+        assert _first_match_labels(tree_2012_model, []) == []
 
     @pytest.mark.parametrize("rows", [1, 3, cascade_module._BLOCK_ROWS, 1 << 20])
     def test_block_boundaries(self, monkeypatch, tree_2012_model, rows):
         probes = _threshold_probes(tree_2012_model)[:40]
         expected = [classify(tree_2012_model, r) for r in probes]
         monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", rows)
-        assert classify_records(tree_2012_model, probes) == expected
+        assert _first_match_labels(tree_2012_model, probes) == expected
 
     @pytest.mark.parametrize("block_rows", [3, cascade_module._BLOCK_ROWS])
     def test_any_matrix_layout(self, monkeypatch, block_rows):

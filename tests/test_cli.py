@@ -1,8 +1,10 @@
 import json
 import random
+import tomllib
 
 import pytest
 
+import ladrating
 from ladrating import (
     DEFAULT_SCALE,
     CountryRecord,
@@ -21,9 +23,10 @@ from ladrating.cli import (
     EXIT_PARSE,
     main,
 )
+from ladrating.cascade import TOOL_VERSION
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
-from conftest import TREE_DIR, TREE_YEARS, tree_text
+from conftest import REPO_ROOT, TREE_DIR, TREE_YEARS, tree_text
 
 
 @pytest.fixture
@@ -66,6 +69,14 @@ def test_train_writes_bundle(train_csv, tmp_path):
     prov = json.loads((tmp_path / "model.provenance.json").read_text())
     assert prov["config"]["max_degree"] == 3
     assert prov["year"] == 2012
+    assert prov["tool_version"] == TOOL_VERSION
+
+
+def test_one_version_string():
+    # Bundles are stamped with TOOL_VERSION: it must follow a version bump.
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == TOOL_VERSION
+    assert ladrating.__version__ is TOOL_VERSION
 
 
 def test_train_outputs_are_byte_identical_across_runs(train_csv, tmp_path):
@@ -182,6 +193,21 @@ def test_help_lists_published_defaults(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "0.7" in text and "default 3" in text
+
+
+@pytest.mark.parametrize("command", ["classify", "suggest"])
+@pytest.mark.parametrize("given", ["neither", "both"])
+def test_records_need_exactly_one_source(command, given, train_csv, capsys):
+    argv = [command, "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient"]
+    if given == "both":
+        argv += ["--data", str(train_csv), "--country-values", "U=80,G=60000"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "--data" in captured.err and "--country-values" in captured.err
 
 
 def test_suggest_flags_output(tmp_path, capsys):

@@ -51,6 +51,43 @@ class TestImport:
         with pytest.raises(DecisionTreeParseError, match="line"):
             import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=True)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("AAA\t(U >= 7x3, G >= 1)", "malformed number '7x3' (line 1, col 6)"),
+            ("AAA (U >= 1), OR (QQ >= 2)", "unknown indicator code 'QQ' (line 1, col 19)"),
+            ("# note\n  AA\t( G >= 1 ,U <= 2 x)", "malformed number '2 x' (line 2, col 16)"),
+            ("AAA\t(G >= 1) OR (G 1)", "malformed literal 'G 1' (line 1, col 18)"),
+            ("AAA\t(G >= 1e999)", "non-finite threshold '1e999' (line 1, col 6)"),
+            # No threshold reads the same before a comma as at a pattern's end.
+            ("AAA\t(EX >= , G >= 1)", "malformed literal 'EX >=' (line 1, col 6)"),
+            ("AAA\t(G >= 1, EX >=)", "malformed literal 'EX >=' (line 1, col 14)"),
+            ("AAA\t(G >= 1)\n\t AAAA (G >= 1)", "unknown rating label 'AAAA' (line 2, col 3)"),
+            ("AAA\t(G >= 1)\n  AAA (G >= 1)", "duplicate stage for 'AAA' (line 2, col 3)"),
+            ("  AA\t( , ) OR ()", "stage body contains no patterns (line 1, col 6)"),
+        ],
+    )
+    def test_error_names_its_line_column(self, text, message, strict):
+        with pytest.raises(DecisionTreeParseError) as exc:
+            import_decision_tree(text, DEFAULT_SCALE, 2012, strict=strict)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("AAA\t(G >= 1, PPP6 >= 2)", "unknown indicator code 'PPP6' (line 1, col 14)"),
+            ("AAA\t(G >= 26.17.5)", "malformed number '26.17.5' (line 1, col 6)"),
+            ("AAA\t(G >= 0/685)", "malformed number '0/685' (line 1, col 6)"),
+        ],
+    )
+    def test_strict_rejects_what_lenient_repairs(self, text, message):
+        with pytest.raises(DecisionTreeParseError) as exc:
+            import_decision_tree(text, DEFAULT_SCALE, 2012, strict=True)
+        assert str(exc.value) == message
+        model = import_decision_tree(text, DEFAULT_SCALE, 2012, strict=False)
+        assert len(model.notes) == 1 and model.stages[0].patterns
+
     def test_lenient_repairs_are_logged(self):
         model = import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False)
         assert any("26.17.5" in note for note in model.notes)
