@@ -50,6 +50,7 @@ from .errors import (
 from .evaluate import (
     EvaluationReport,
     Mismatch,
+    MismatchRows,
     RepeatOffenderSummary,
     evaluate,
     repeat_offenders,

@@ -178,8 +178,9 @@ def _load_model(args) -> CascadeModel:
 
 
 def _parse_country_values(spec: str) -> CountryRecord:
-    """The record of an inline `CODE=value,...` list. Each code must be an
-    indicator of the registry and appear once; each value must be finite."""
+    """The record of an inline `CODE=value,...` list. It needs at least one
+    pair; each code must be an indicator of the registry and appear once;
+    each value must be finite."""
     values = {}
     for part in spec.split(","):
         if not part.strip():
@@ -199,6 +200,8 @@ def _parse_country_values(spec: str) -> CountryRecord:
         if not math.isfinite(value):
             raise DataFormatError(f"non-finite value in CODE=value pair {part!r}")
         values[code] = value
+    if not values:
+        raise DataFormatError(f"no CODE=value pair in {spec!r}")
     return CountryRecord("cli", 0, values)
 
 

@@ -164,7 +164,7 @@ class LabeledArrays:
     values: np.ndarray  # rows x codes, NaN for a missing value; column-major
     observed: np.ndarray  # `rating_codes` of the observed ratings
     labels: tuple[str, ...]  # labels[c - 1] is the label of code c
-    country_ids: tuple[str, ...]
+    country_ids: np.ndarray  # object array of the country ids
     country_rank: np.ndarray  # `sort_ranks` of the country ids
     train: Optional[np.ndarray]  # boolean masks, when the dataset has a split
     test: Optional[np.ndarray]
@@ -235,7 +235,7 @@ class Dataset:
         codes = self.indicator_codes()
         known = {label: c for c, label in enumerate(self.scale.classes, start=1)}
         observed = rating_codes([r.observed_rating for r in labeled], known)
-        country_ids = tuple(r.country_id for r in labeled)
+        country_ids = [r.country_id for r in labeled]
         split = self.split
 
         def mask(keys):
@@ -246,7 +246,7 @@ class Dataset:
             values=np.asfortranarray(value_matrix(labeled, codes)),
             observed=np.array(observed, dtype=np.intp),
             labels=tuple(known),
-            country_ids=country_ids,
+            country_ids=np.array(country_ids, dtype=object),
             country_rank=sort_ranks(country_ids),
             train=mask(split.train_keys) if split else None,
             test=mask(split.test_keys) if split else None,

@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,16 +37,87 @@ class Mismatch(NamedTuple):
     direction: Optional[str]
 
 
+class MismatchRows(Sequence[Mismatch]):
+    """A report's mismatch rows: a read-only sequence of `Mismatch`.
+
+    `evaluate` keeps the rows as columns and builds every `Mismatch` on the
+    first read of a row (index, iteration, `==`, `hash` or `repr`), so a
+    report read only for its counts or country ids never builds them.
+    `country_ids` holds the rows' country ids in row order. The sequence
+    compares equal to any sequence of the same rows (never a `str` or
+    `bytes`), such as the tuple of them, in either operand order, and its
+    `hash` and `repr` are that tuple's. It is not a `tuple` instance.
+    """
+
+    __slots__ = ("country_ids", "_columns", "_rows")
+
+    def __init__(self, country_ids: tuple[str, ...], columns=None, rows=None):
+        self.country_ids = country_ids
+        self._columns = columns  # (names, model, observed, distance, kind)
+        self._rows = rows
+
+    def rows(self) -> tuple[Mismatch, ...]:
+        """The rows as a tuple, built on the first call."""
+        if self._rows is None:
+            names, model, observed, distance, kind = self._columns
+            kind = kind.tolist()
+            # tuple.__new__ makes each row from its zipped fields, without
+            # the argument handling of a Mismatch(...) call per row.
+            self._rows = tuple(map(tuple.__new__, repeat(Mismatch), zip(
+                self.country_ids,
+                names[model].tolist(),
+                names[observed].tolist(),
+                [d if k else None for d, k in zip(distance.tolist(), kind)],
+                [_DIRECTIONS[k] for k in kind],
+            )))
+            self._columns = None
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.country_ids)
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __iter__(self) -> Iterator[Mismatch]:
+        return iter(self.rows())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MismatchRows):
+            other = other.rows()
+        elif not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and self.rows() == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self.rows())
+
+    def __repr__(self) -> str:
+        return repr(self.rows())
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
+    """Exact-match ratios, bias shares and mismatch rows of one evaluation.
+
+    `mismatches` is a `MismatchRows`; rows given in any other sequence (a
+    tuple of `Mismatch`, say) are converted to one at construction.
+    """
+
     match_ratio_overall: float
     match_ratio_train: Optional[float]
     match_ratio_test: Optional[float]
-    mismatches: tuple[Mismatch, ...]
+    mismatches: MismatchRows
     model_better_share: Optional[float]
     model_worse_share: Optional[float]
     unclassified_count: int
     total_labeled: int
+
+    def __post_init__(self):
+        if not isinstance(self.mismatches, MismatchRows):
+            rows = tuple(self.mismatches)
+            ids = tuple(m.country_id for m in rows)
+            object.__setattr__(self, "mismatches", MismatchRows(ids, rows=rows))
 
     @property
     def exact_matches(self) -> int:
@@ -57,7 +127,7 @@ class EvaluationReport:
 def _build_report(
     scale: RatingScale,
     labels: Sequence[Optional[str]],
-    country_ids: Sequence[str],
+    country_ids: np.ndarray,
     country_rank: np.ndarray,
     observed: np.ndarray,
     model: np.ndarray,
@@ -65,6 +135,7 @@ def _build_report(
     test: Optional[np.ndarray] = None,
 ) -> EvaluationReport:
     """The report of rows given as `rating_codes`: `labels[c]` names code c.
+    `country_ids` is an object array of the rows' country ids.
 
     A row mismatches when its codes differ. A mismatching row with a model
     rating needs both labels on the scale to give a distance, so a label
@@ -82,40 +153,33 @@ def _build_report(
         bad = observed[row] if not 1 <= observed[row] <= n else model[row]
         raise DataFormatError(f"unknown rating label {labels[bad]!r}")
     distance = observed - model
+    better = directed & (distance > 0)
     # Largest |distance| first, unclassified rows last, then by country id;
     # lexsort is stable, so rows that tie keep their record order.
     rows = np.flatnonzero(mismatch)
     size = np.where(directed, np.abs(distance), -1)[rows]
     rows = rows[np.lexsort((country_rank[rows], -size))]
     # 0 unclassified, 1 model-worse, 2 model-better: an index into _DIRECTIONS.
-    kind = (directed * (1 + (distance > 0)))[rows].tolist()
-    # tuple.__new__ makes each row from its zipped fields, without the
-    # argument handling of a Mismatch(...) call per row.
-    names = np.array(labels, dtype=object)
-    mismatches = tuple(map(tuple.__new__, repeat(Mismatch), zip(
-        [country_ids[i] for i in rows.tolist()],
-        names[model[rows]].tolist(),
-        names[observed[rows]].tolist(),
-        [d if k else None for d, k in zip(distance[rows].tolist(), kind)],
-        [_DIRECTIONS[k] for k in kind],
-    )))
+    kind = 1 * directed[rows] + better[rows]
+    mismatches = MismatchRows(tuple(country_ids[rows].tolist()), columns=(
+        np.array(labels, dtype=object), model[rows], observed[rows], distance[rows], kind,
+    ))
 
     def ratio(mask):
         if mask is None or not mask.any():
             return None
         return int(np.count_nonzero(mask & ~mismatch)) / int(np.count_nonzero(mask))
 
-    unclassified = kind.count(0)
-    n_directed = len(kind) - unclassified
-    better = kind.count(2)
+    n_directed = int(np.count_nonzero(directed))
+    n_better = int(np.count_nonzero(better))
     return EvaluationReport(
         match_ratio_overall=(total - len(mismatches)) / total,
         match_ratio_train=ratio(train),
         match_ratio_test=ratio(test),
         mismatches=mismatches,
-        model_better_share=better / n_directed if n_directed else None,
-        model_worse_share=(n_directed - better) / n_directed if n_directed else None,
-        unclassified_count=unclassified,
+        model_better_share=n_better / n_directed if n_directed else None,
+        model_worse_share=(n_directed - n_better) / n_directed if n_directed else None,
+        unclassified_count=len(mismatches) - n_directed,
         total_labeled=total,
     )
 
@@ -157,7 +221,7 @@ def report_from_pairs(
     observed = rating_codes([o for _, _, o in pairs], known)
     country_ids = [c for c, _, _ in pairs]
     return _build_report(
-        scale, (None, *known), country_ids, sort_ranks(country_ids),
+        scale, (None, *known), np.array(country_ids, dtype=object), sort_ranks(country_ids),
         np.array(observed, dtype=np.intp), np.array(model, dtype=np.intp),
     )
 
@@ -172,11 +236,14 @@ class RepeatOffenderSummary:
 
 
 def repeat_offenders(reports: Sequence[EvaluationReport]) -> RepeatOffenderSummary:
+    """The countries with a mismatch row in two or more of `reports`, one
+    report per evaluated year, counted from each report's
+    `mismatches.country_ids`, so no row is built. A country with two rows
+    in one report counts twice.
+    """
     if len(reports) < 2:
         raise DataFormatError("repeat-offender summary needs >= 2 reports")
-    counts = Counter(chain.from_iterable(
-        map(attrgetter("country_id"), report.mismatches) for report in reports
-    ))
+    counts = Counter(chain.from_iterable(report.mismatches.country_ids for report in reports))
     repeated = {c: n for c, n in counts.items() if n >= 2}
     return RepeatOffenderSummary(
         counts=repeated,

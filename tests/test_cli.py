@@ -210,6 +210,15 @@ def test_records_need_exactly_one_source(command, given, train_csv, capsys):
     assert "--data" in captured.err and "--country-values" in captured.err
 
 
+def test_data_row_without_values_is_rated(tmp_path, capsys):
+    # An inline record needs a CODE=value pair; a CSV row may hold none.
+    data = tmp_path / "rows.csv"
+    data.write_text("country,year,G,U\nX,2012,60000,80\nZ,2012,,\n")
+    argv = ["classify", "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient", "--data", str(data)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "X,2012,classified,AAA\nZ,2012,classified,BM\n"
+
+
 def test_suggest_flags_output(tmp_path, capsys):
     out = tmp_path / "m"
     assert main([
@@ -264,6 +273,8 @@ BAD_INPUTS = {
         "country,year,rating,gdp\nX,2012,AAA,1\nY,2012,BM,2\n", None, None, EXIT_PARSE
     ),
     "empty-inline-code": (None, "=1", None, EXIT_PARSE),
+    "empty-inline-record": (None, "", None, EXIT_PARSE),
+    "inline-record-without-pairs": (None, ",", None, EXIT_PARSE),
     "repeated-inline-code": (None, "U=80,G=1,G=60000", None, EXIT_PARSE),
     "unknown-inline-code": (None, "U=80,GDP=60000", None, EXIT_PARSE),
     "overflowing-threshold": (None, None, None, EXIT_PARSE),

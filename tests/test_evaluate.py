@@ -1,4 +1,8 @@
+import hashlib
 import importlib
+import random
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import make_dataclass, replace
 
 import pytest
@@ -18,12 +22,20 @@ from ladrating import (
     Split,
     classify,
     evaluate,
+    import_decision_tree,
     repeat_offenders,
     report_from_pairs,
+    serialize_dataset,
+    split_dataset,
     train_cascade,
 )
+from ladrating.cli import EXIT_OK, main
 from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY
-from ladrating.evaluate import MODEL_BETTER, MODEL_WORSE, EvaluationReport, Mismatch
+from ladrating.evaluate import (
+    MODEL_BETTER, MODEL_WORSE, EvaluationReport, Mismatch, MismatchRows, render_report,
+)
+
+from conftest import TREE_DIR, tree_text
 
 # `ladrating.evaluate` is also the name of the function the package exports.
 evaluate_module = importlib.import_module("ladrating.evaluate")
@@ -150,6 +162,92 @@ class TestMismatch:
         country, *_, direction = m
         assert (country, direction) == ("Ukraine", MODEL_BETTER)
         assert m == self.FIELDS and hash(m) == hash(self.FIELDS)
+
+
+def _unbuilt(rows):
+    return rows._rows is None
+
+
+class TestMismatchRows:
+    """`EvaluationReport.mismatches` reads as the tuple of its rows."""
+
+    def _pair(self):
+        # The same rows twice: one sequence left unbuilt, one tuple.
+        rows = report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE).mismatches
+        return rows, tuple(report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE).mismatches)
+
+    def test_is_a_sequence_not_a_tuple(self):
+        rows, expected = self._pair()
+        assert isinstance(rows, Sequence) and not isinstance(rows, tuple)
+        assert len(expected) == 5 and all(type(m) is Mismatch for m in expected)
+
+    def test_indexing(self):
+        rows, expected = self._pair()
+        for i in range(-len(expected), len(expected)):
+            assert rows[i] == expected[i]
+        for i in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+
+    @pytest.mark.parametrize("part", [slice(1, 3), slice(None, None, -1), slice(-2, None),
+                                      slice(10, None), slice(None, None, 2)])
+    def test_slices_are_the_tuples_slices(self, part):
+        rows, expected = self._pair()
+        assert rows[part] == expected[part]
+        assert type(rows[part]) is tuple
+
+    def test_iteration_len_and_bool(self):
+        rows, expected = self._pair()
+        assert len(rows) == len(expected) and bool(rows)
+        assert _unbuilt(rows)
+        assert list(rows) == list(expected)
+        assert list(reversed(rows)) == list(reversed(expected))
+        assert rows.country_ids == tuple(m.country_id for m in expected)
+        empty = report_from_pairs([("X", "AAA", "AAA")], DEFAULT_SCALE).mismatches
+        assert len(empty) == 0 and not empty and list(empty) == []
+
+    def test_equality_both_ways(self):
+        rows, expected = self._pair()
+        other = report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE).mismatches
+        assert rows == expected and expected == rows
+        assert rows == other and other == rows
+        assert rows == list(expected) and list(expected) == rows
+        assert not rows != expected and not expected != rows
+        for different in (expected[:-1], expected[::-1], (), expected + expected[:1]):
+            assert rows != different and different != rows
+            assert not rows == different and not different == rows
+        assert rows != 5 and rows != "Ukraine"
+        empty = report_from_pairs([("X", "AAA", "AAA")], DEFAULT_SCALE).mismatches
+        assert empty == () and () == empty and empty != rows
+        for text in ("", b""):
+            assert empty != text and text != empty and not empty == text
+
+    def test_hash_and_repr_are_the_tuples(self):
+        rows, expected = self._pair()
+        assert hash(rows) == hash(expected)
+        assert repr(rows) == repr(expected)
+        assert len({rows, expected}) == 1
+
+    def test_counts_leave_rows_unbuilt(self):
+        reports = [report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE) for _ in range(2)]
+        for report in reports:
+            assert report.exact_matches == 0
+            assert report.unclassified_count == 0 and report.model_better_share == 1.0
+        assert repeat_offenders(reports).twice == tuple(sorted(c for c, _, _ in MISMATCH_2012_ROWS))
+        assert all(_unbuilt(report.mismatches) for report in reports)
+        reports[0].mismatches[0]
+        assert not _unbuilt(reports[0].mismatches) and _unbuilt(reports[1].mismatches)
+        # Once built, the rows are held once: the columns are dropped.
+        assert reports[0].mismatches._columns is None
+
+    def test_hand_built_rows_are_converted(self):
+        rows = (Mismatch("X", "AAA", "AA", 1, MODEL_BETTER), Mismatch("Y", None, "B", None, None),
+                Mismatch("X", "BM", "AA", -14, MODEL_WORSE))
+        report = EvaluationReport(0.25, None, None, rows, 0.5, 0.5, 1, 4)
+        assert isinstance(report.mismatches, MismatchRows)
+        assert report.mismatches == rows and report.mismatches.country_ids == ("X", "Y", "X")
+        assert report.exact_matches == 1
+        assert replace(report, total_labeled=5) == EvaluationReport(0.25, None, None, rows, 0.5, 0.5, 1, 5)
 
 
 class TestEvaluateModel:
@@ -357,7 +455,88 @@ class TestRepeatOffenders:
         assert summary.twice == ("X",)
         assert summary.more_than_twice == ()
 
+    @given(st.lists(models_and_datasets().filter(lambda case: case[1].labeled_records),
+                    min_size=2, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_count_over_the_rows(self, cases):
+        reports = [evaluate(model, dataset) for model, dataset in cases]
+        summary = repeat_offenders(reports)
+        assert all(_unbuilt(report.mismatches) for report in reports)
+        counts = Counter(m.country_id for report in reports for m in report.mismatches)
+        repeated = {c: n for c, n in counts.items() if n >= 2}
+        assert summary.counts == repeated
+        assert summary.twice == tuple(sorted(c for c, n in repeated.items() if n == 2))
+        assert summary.more_than_twice == tuple(sorted(c for c, n in repeated.items() if n > 2))
+
+    def test_hand_built_report(self):
+        rows = (Mismatch("X", "AAA", "AA", 1, MODEL_BETTER), Mismatch("Y", None, "B", None, None))
+        hand = EvaluationReport(0.0, None, None, rows, 1.0, 0.0, 1, 2)
+        summary = repeat_offenders([hand, report_from_pairs([("X", "AAA", "AA")], DEFAULT_SCALE),
+                                    hand])
+        assert summary.counts == {"X": 3, "Y": 2}
+        assert summary.twice == ("Y",) and summary.more_than_twice == ("X",)
+
     def test_requires_two_reports(self):
         r = report_from_pairs([("X", "AAA", "AA")], DEFAULT_SCALE)
         with pytest.raises(DataFormatError):
             repeat_offenders([r])
+
+
+#: sha256 of `render_report` and of the CLI's `evaluate --out` JSON, per
+#: published tree and fallback policy, on `_pinned_dataset` split 0.6 / seed 4.
+PINNED_REPORTS = {
+    (2013, FALLBACK_TO_LAST): (
+        "3694697806b55b2d5950d98ca74568282d2c4c2d1befbb526f37281bbfe2e5e3",
+        "cc7d0bab0f707675a01e52a591d62635da10bf60bd663947c2b104e5d6fe5c6e",
+    ),
+    (2015, UNCLASSIFIED_POLICY): (
+        "36da8834a4ae429a940013f63de0a31c6e809c4be29c70661eb9386c36de3dd8",
+        "2594e039f53bbce0a7b4b0762153b45a596714fe78fbba9f60fc8571e356befb",
+    ),
+}
+
+
+def _pinned_dataset():
+    """300 rows over 60 countries and six years, values spread over the 2013
+    and 2015 trees' threshold ranges (10% missing), 5% unrated: distances
+    tie, country ids repeat and some records match no stage."""
+    rng = random.Random(17)
+    ranges = {}
+    for year in (2013, 2015):
+        model = import_decision_tree(tree_text(year), DEFAULT_SCALE, year, strict=False)
+        for stage in model.stages:
+            for pattern in stage.patterns:
+                for lit in pattern.literals:
+                    lo, hi = ranges.get(lit.indicator, (lit.threshold, lit.threshold))
+                    ranges[lit.indicator] = (min(lo, lit.threshold), max(hi, lit.threshold))
+    keys = rng.sample([(f"country{c:02d}", y) for c in range(60) for y in range(2010, 2016)], 300)
+    records = []
+    for country, year in keys:
+        values = {}
+        for code, (lo, hi) in sorted(ranges.items()):
+            pad = 0.25 * ((hi - lo) or abs(lo) or 1.0)
+            if rng.random() >= 0.1:
+                values[code] = round(rng.uniform(lo - pad, hi + pad), 4)
+        rating = rng.choice(DEFAULT_SCALE.classes) if rng.random() >= 0.05 else None
+        records.append(CountryRecord(country, year, values, rating))
+    return Dataset(tuple(records))
+
+
+@pytest.mark.parametrize("year, policy", sorted(PINNED_REPORTS))
+def test_evaluate_artifacts_pinned(year, policy, tmp_path):
+    dataset = _pinned_dataset()
+    model = import_decision_tree(
+        tree_text(year), RatingScale(DEFAULT_SCALE.classes, policy), year, strict=False)
+    text = render_report(evaluate(model, split_dataset(dataset, 0.6, seed=4)))
+    data = tmp_path / "data.csv"
+    data.write_text(serialize_dataset(dataset))
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--model", str(TREE_DIR / f"tree_{year}.txt"), "--lenient",
+        "--data", str(data), "--split-fraction", "0.6", "--seed", "4",
+        "--fallback", policy, "--out", str(out),
+    ]) == EXIT_OK
+    assert out.with_suffix(".report.txt").read_text() == text
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (
+        text.encode(), out.with_suffix(".report.json").read_bytes()))
+    assert digests == PINNED_REPORTS[year, policy]
