@@ -56,14 +56,14 @@ class Literal:
 class BinaryView:
     """Boolean encoding of labeled records over an ordered cut-point list.
 
-    `matrix[i, j]` is the >=-literal of cut-point j evaluated on record i
-    (missing -> false); `missing[i, j]` records why a false is false, so the
-    <=-literal can be evaluated without the raw values.
+    `matrix[i, j]` is the >=-literal of cut-point j evaluated on record i,
+    `at_most[i, j]` its <=-literal (same threshold); a missing value makes
+    both false, as in `Literal.evaluate`.
     """
 
     record_ids: tuple[str, ...]
     matrix: np.ndarray  # bool, shape (n_records, n_cutpoints)
-    missing: np.ndarray  # bool, same shape
+    at_most: np.ndarray  # bool, same shape
     labels: np.ndarray  # bool, shape (n_records,)
     cutpoints: tuple[CutPoint, ...]
 
@@ -127,7 +127,9 @@ def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A midpoint is `(a + b) / 2`, except where `a + b` overflows (finite
     values above about 8.9e307), where it is `a / 2 + b / 2`: halving is
-    exact there, so that is the same midpoint, rounded once."""
+    exact there, so that is the same midpoint, rounded once. Between two
+    adjacent floats the midpoint rounds onto one of them; it is then `b`,
+    so that `>= midpoint` still holds for `b` and not for `a`."""
     order = np.argsort(column)  # NaN sorts last
     present = order[: len(order) - int(np.isnan(column).sum())]
     values = column[present]
@@ -140,7 +142,7 @@ def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         midpoints = (low + high) / 2.0
     over = np.isinf(midpoints)  # an infinite run gives the same either way
     midpoints[over] = low[over] / 2.0 + high[over] / 2.0
-    return present, starts, midpoints
+    return present, starts, np.where(midpoints > low, midpoints, high)
 
 
 def _as_stage(records: LabeledRecords, codes: Sequence[str]) -> StageRecords:
@@ -190,15 +192,20 @@ def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryVi
     threshold (plain pairs are read into a `StageRecords` first). A value
     is missing when the record has none or an in-memory NaN: both literals
     are false there, as `Literal.evaluate`, `classify` and `first_match`
-    have them. Memory is the two records x cut-points bool matrices plus
-    one float matrix of the same shape while comparing.
+    have them, since NaN fails both compares. Memory is the two records x
+    cut-points bool matrices plus one float matrix of the same shape while
+    comparing.
     """
     stage = _as_stage(records, [cp.indicator for cp in cutpoints])
     column = {code: j for j, code in enumerate(stage.codes)}
     values = stage.values[:, [column[cp.indicator] for cp in cutpoints]]
     thresholds = np.array([cp.threshold for cp in cutpoints], dtype=float)
     return BinaryView(
-        stage.record_ids, values >= thresholds, np.isnan(values), stage.labels, tuple(cutpoints)
+        stage.record_ids,
+        values >= thresholds,
+        values <= thresholds,
+        stage.labels,
+        tuple(cutpoints),
     )
 
 

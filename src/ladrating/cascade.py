@@ -35,9 +35,7 @@ TOOL_VERSION = "0.1.0"
 #: `_BLOCK_ROWS` x (entries + distinct checks) bytes: on the published trees
 #: (at most 56 entries and 136 distinct checks) about 1.9 MB at 10,000 rows
 #: and 3.1 MB for a full block. Its Python loop runs once per entry and
-#: check of every block, so small blocks are slow: on three published trees
-#: at 10,000 rows, 4096-row blocks took about 1.5x and 256-row blocks 12x
-#: the time of one 16384-row block.
+#: check of every block, so small blocks are slow.
 _BLOCK_ROWS = 16384
 
 _NAN = math.nan

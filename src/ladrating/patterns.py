@@ -6,7 +6,7 @@ import heapq
 import itertools
 import numbers
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,108 +87,24 @@ class MiningConfig:
                 raise DataFormatError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
-#: Byte budget of one chunk of candidate conjunctions: their gathered packed
-#: truth rows while they are ANDed and counted.
-_CHUNK_BYTES = 1 << 20
+def _literal_table(view: BinaryView) -> tuple[list[tuple[str, str, float]], list[int], int]:
+    """Both literals of each cut-point column, >= before <=, as
+    (indicator, direction, threshold) keys; each one's truth over the
+    records as a Python int (bit r is record r); and the positive records
+    as one more such int.
 
-
-def _literal_rows(view: BinaryView) -> np.ndarray:
-    """One packed truth row per literal, both directions per cut-point
-    column: row 2j is where column j's >=-literal holds, row 2j + 1 where
-    its <=-literal (same threshold) does, that is where the value is present
-    and below it. Row i is `np.packbits` of literal i's truth over the
-    records, so bit r of a row (big bit order) is record r.
+    The truth is `view.matrix` for a >=-literal and `view.at_most` for a
+    <=-literal, so a missing value holds for neither, as in
+    `Literal.evaluate`. All rows come from one `np.packbits`.
     """
-    present = ~view.missing
-    truth = np.empty((2 * len(view.cutpoints), len(view.record_ids)), dtype=bool)
-    truth[0::2] = (view.matrix & present).T
-    truth[1::2] = (~view.matrix & present).T
-    return np.packbits(truth, axis=1)
-
-
-def _literal_table(view: BinaryView) -> tuple[list[Literal], np.ndarray, np.ndarray]:
-    """The literals in `_literal_rows` order, one group id per (indicator,
-    direction) pair, and their packed truth rows."""
-    literals: list[Literal] = []
-    group_ids: dict[tuple[str, str], int] = {}
-    groups: list[int] = []
-    for cp in view.cutpoints:
-        for direction in (">=", "<="):
-            literals.append(Literal(cp.indicator, direction, cp.threshold))
-            groups.append(group_ids.setdefault((cp.indicator, direction), len(group_ids)))
-    return literals, np.array(groups, dtype=np.intp), _literal_rows(view)
-
-
-def _conjunctions(
-    rows: np.ndarray, groups: np.ndarray, labels: np.ndarray, config: MiningConfig, prune: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The conjunctions of `rows` meeting the floors of `config`, as literal
-    index rows padded with -1 to the widest possible one, in (degree,
-    combinations) order, with their positive and negative counts.
-
-    Only frequent conjunctions, those covering a positive and meeting the
-    prevalence floor, are extended to the next degree: adding a literal
-    never raises coverage, so no other one has an accepted extension. With
-    `prune` set, a conjunction that meets both floors is not extended
-    either: each extension has it as a sub-pattern of at least its
-    prevalence, so is never prime.
-    """
-    pos, neg = np.packbits(labels), np.packbits(~labels)
-    total_pos = int(labels.sum())
-    # A conjunction takes at most one literal of each (indicator, direction)
-    # group.
-    n_groups = int(groups.max()) + 1 if len(groups) else 0
-    width = max(1, min(config.max_degree, n_groups))
-
-    def frequent(combos, covers):
-        cp = np.bitwise_count(covers & pos).sum(axis=1, dtype=np.int64)
-        keep = (cp > 0) & (cp / total_pos + _EPS >= config.min_prevalence)
-        return combos[keep], covers[keep], cp[keep]
-
-    found = []
-    level = [frequent(np.arange(len(rows))[:, None], rows)]
-    for degree in range(1, width + 1):
-        combos, covers, cp = (np.concatenate(part) for part in zip(*level))
-        cn = np.bitwise_count(covers & neg).sum(axis=1, dtype=np.int64)
-        pure = cp / (cp + cn) + _EPS >= config.min_homogeneity
-        keys = np.full((int(pure.sum()), width), -1, dtype=np.intp)
-        keys[:, :degree] = combos[pure]
-        found.append((keys, cp[pure], cn[pure]))
-        if prune:
-            combos, covers = combos[~pure], covers[~pure]
-        if degree == width or not len(combos):
-            break
-        level = [frequent(*chunk) for chunk in _extensions(combos, covers, rows, groups)]
-        if not level:
-            break
-    keys, cp, cn = (np.concatenate(part) for part in zip(*found))
-    return keys, cp, cn
-
-
-def _extensions(
-    prefixes: np.ndarray, covers: np.ndarray, rows: np.ndarray, groups: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each prefix conjunction (literal index row, packed cover) extended by
-    every later literal of a group it lacks, in combinations order, as
-    chunks of (index rows, packed covers) of at most `_CHUNK_BYTES` of
-    covers. A second literal of one (indicator, direction) group is
-    redundant.
-    """
-    n_literals, width = rows.shape
-    per_chunk = max(1, _CHUNK_BYTES // max(1, width))
-    # Prefix i extends by literals last[i] + 1 onwards, which are flat
-    # indices ends[i] - counts[i] onwards.
-    last = prefixes[:, -1]
-    counts = n_literals - 1 - last
-    ends = np.cumsum(counts)
-    offset = ends - counts - last - 1
-    for lo in range(0, int(ends[-1]), per_chunk):
-        flat = np.arange(lo, min(lo + per_chunk, int(ends[-1])))
-        p = np.searchsorted(ends, flat, side="right")
-        j = flat - offset[p]
-        fresh = (groups[prefixes[p]] != groups[j, None]).all(axis=1)
-        p, j = p[fresh], j[fresh]
-        yield np.concatenate((prefixes[p], j[:, None]), axis=1), covers[p] & rows[j]
+    n_cuts = len(view.cutpoints)
+    truth = np.empty((2 * n_cuts + 1, len(view.record_ids)), dtype=bool)
+    truth[0:-1:2] = view.matrix.T
+    truth[1:-1:2] = view.at_most.T
+    truth[-1] = view.labels
+    rows = [int.from_bytes(row, "little") for row in np.packbits(truth, axis=1, bitorder="little")]
+    keys = [(cp.indicator, d, cp.threshold) for cp in view.cutpoints for d in (">=", "<=")]
+    return keys, rows[:-1], rows[-1]
 
 
 def enumerate_patterns(
@@ -204,84 +120,83 @@ def enumerate_patterns(
     is dropped when a proper sub-pattern already meets both floors (prime
     patterns only); disable for oracle comparisons.
 
-    Each literal's truth over the records is one packed bit row
-    (`np.packbits`); a conjunction's cover is the AND of its rows, and its
-    positive and negative counts are `np.bitwise_count` of that cover
-    against the packed labels. Degree by degree, candidates are literal
-    index rows in `itertools.combinations` order over the literals
-    (cut-point column, then >= before <=), so the result keeps that order.
-    Only conjunctions covering a positive and meeting the prevalence floor
-    are extended to the next degree, as no extension of another one can be
-    accepted; with `prune` set, patterns are not extended either, and a
-    listed conjunction with a listed proper sub-conjunction is dropped. The
-    smallest pattern inside a non-prime conjunction has only non-pattern
-    prefixes, so it is always listed. Memory is bounded by those
-    conjunctions of two consecutive degrees, at 8 x degree + ceil(records /
-    8) bytes each for their indices and packed covers, plus one chunk of
-    candidates: its packed covers take at most `_CHUNK_BYTES`, its
-    temporaries a small multiple of that.
+    Each literal's truth over the records is a Python int (`_literal_table`);
+    a conjunction's cover is the AND of its literals', its positive count
+    the `bit_count` of the cover ANDed with the positives, and its negative
+    count the rest of the cover's own `bit_count`. Degree by
+    degree, candidates are tuples of literal indices in
+    `itertools.combinations` order over the literals (cut-point column, then
+    >= before <=), so the result keeps that order. Only conjunctions
+    covering a positive and meeting the prevalence floor are extended to the
+    next degree, as no extension of another one can be accepted; with
+    `prune` set, patterns are not extended either, and a listed conjunction
+    with a listed proper sub-conjunction is dropped. The smallest pattern
+    inside a non-prime conjunction has only non-pattern prefixes, so it is
+    always listed. Memory is bounded by the frequent conjunctions of two
+    consecutive degrees, each a key plus ceil(records / 8) bytes of cover.
     """
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
-    literals, groups, rows = _literal_table(view)
-    keys, cp, cn = _conjunctions(rows, groups, view.labels, config, prune)
+    table, truth, positives = _literal_table(view)
+    groups = [key[:2] for key in table]
+    n_literals, max_degree = len(table), config.max_degree
+    # A conjunction is frequent when it covers at least this many positives.
+    least = next(
+        (c for c in range(1, total_pos + 1) if c / total_pos + _EPS >= config.min_prevalence),
+        total_pos + 1,
+    )
+    min_homogeneity = config.min_homogeneity
+
+    # The conjunctions to extend, as parallel lists: the empty one, then one
+    # degree's frequent conjunctions (with `prune`, those not patterns).
+    keys: list[tuple[int, ...]] = [()]
+    covers = [(1 << len(view.record_ids)) - 1]
+    found: list[tuple[tuple[int, ...], int, int]] = []
+    for degree in range(1, max_degree + 1):
+        level = zip(keys, covers)
+        keys, covers = [], []
+        for key, cover in level:
+            used = {groups[i] for i in key}
+            for j in range(key[-1] + 1 if key else 0, n_literals):
+                if groups[j] in used:
+                    continue
+                extended = cover & truth[j]
+                c_p = (extended & positives).bit_count()
+                if c_p < least:
+                    continue
+                c_n = extended.bit_count() - c_p
+                if c_p / (c_p + c_n) + _EPS >= min_homogeneity:
+                    found.append((key + (j,), c_p, c_n))
+                    if prune:
+                        continue
+                if degree < max_degree:
+                    keys.append(key + (j,))
+                    covers.append(extended)
+        if not keys:
+            break
     if prune:
-        prime = ~_has_listed_sub(keys)
-        keys, cp, cn = keys[prime], cp[prime], cn[prime]
+        listed = {key for key, _, _ in found}
+        found = [
+            entry
+            for entry in found
+            if not any(
+                sub in listed
+                for size in range(1, len(entry[0]))
+                for sub in itertools.combinations(entry[0], size)
+            )
+        ]
+    literals = [Literal(*key) for key in table]
     return [
         Pattern(
-            literals=tuple(literals[i] for i in row if i >= 0),
+            literals=tuple(literals[i] for i in key),
             covered_positives=c_p,
             covered_negatives=c_n,
             prevalence=c_p / total_pos,
             homogeneity=c_p / (c_p + c_n),
         )
-        for row, c_p, c_n in zip(keys.tolist(), cp.tolist(), cn.tolist())
+        for key, c_p, c_n in found
     ]
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row, for sorting and searching rows."""
-    width = rows.shape[1] * rows.itemsize
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
-
-
-def _has_listed_sub(keys: np.ndarray) -> np.ndarray:
-    """Mask of the listed conjunctions that have a listed proper
-    sub-conjunction.
-
-    `keys` holds one row of literal indices per conjunction, padded with -1,
-    as pruned enumeration lists them: a sub-conjunction keeps the order of
-    its literals, and no prefix of a listed conjunction is listed, since a
-    pattern is never extended. So only the other sub-conjunctions are
-    looked up, all of one degree's in one search.
-    """
-    found = np.zeros(len(keys), dtype=bool)
-    degree = (keys >= 0).sum(axis=1)
-    if not (degree > 1).any():
-        return found
-    listed = np.sort(_row_keys(keys))
-    width = keys.shape[1]
-    for d in range(2, width + 1):
-        rows = np.flatnonzero(degree == d)
-        if not len(rows):
-            continue
-        block = keys[rows]
-        # Combinations are increasing, so a prefix is one ending at size - 1.
-        kept = [
-            k
-            for size in range(1, d)
-            for k in itertools.combinations(range(d), size)
-            if k[-1] != size - 1
-        ]
-        subs = np.full((len(rows), len(kept), width), -1, dtype=keys.dtype)
-        for i, k in enumerate(kept):
-            subs[:, i, :len(k)] = block[:, k]
-        sub_keys = _row_keys(subs.reshape(-1, width))
-        at = np.searchsorted(listed, sub_keys).clip(max=len(listed) - 1)
-        found[rows] = (listed[at] == sub_keys).reshape(len(rows), len(kept)).any(axis=1)
-    return found
 
 
 def select_dnf(
@@ -304,29 +219,26 @@ def select_dnf(
     coverage. A still-unmet target yields a partial DNF with its uncovered
     records flagged.
 
-    Covers are Python ints over the records (bit r of a packed row), built
-    from the packed literal rows: with prime patterns only, the pool is
-    small enough that per-pattern work in Python costs less than per-pick
-    numpy calls. The pool is a heap keyed by gain and the tie order. Gains
-    only shrink, so a stale gain is an upper bound: the top is taken when
-    its gain, recounted, is unchanged, and pushed back otherwise (lazy
-    greedy). Memory beyond enumeration's is one cover of ceil(records / 8)
-    bytes per prime pattern.
+    Covers are the Python ints of `_literal_table`, built again here, as
+    `enumerate_patterns` returns patterns, not rows: with prime patterns
+    only, the pool is small enough that per-pattern work in Python costs
+    less than per-pick numpy calls. The pool is a heap keyed by gain and the
+    tie order. Gains only shrink, so a stale gain is an upper bound: the top
+    is taken when its gain, recounted, is unchanged, and pushed back
+    otherwise (lazy greedy). Memory beyond enumeration's is one cover of
+    ceil(records / 8) bytes per prime pattern.
     """
-    labels = view.labels
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest)
-    truth = [int.from_bytes(row.tobytes(), "big") for row in _literal_rows(view)]
-    column = {(cp.indicator, cp.threshold): j for j, cp in enumerate(view.cutpoints)}
-    packed = np.packbits(labels)
-    uncovered = int.from_bytes(packed.tobytes(), "big")
+    table, rows, uncovered = _literal_table(view)
+    truth = dict(zip(table, rows))
     covers = []
     for p in patterns:
         cover = uncovered
         for lit in p.literals:
-            cover &= truth[2 * column[lit.indicator, lit.threshold] + (lit.direction == "<=")]
+            cover &= truth[lit.indicator, lit.direction, lit.threshold]
         covers.append(cover)
     joining = sorted(range(len(patterns)), key=lambda i: -patterns[i].prevalence)
     joined = 0
@@ -364,12 +276,10 @@ def select_dnf(
             break
         relaxations.append(floor)
 
-    missed = np.unpackbits(
-        np.frombuffer(uncovered.to_bytes(len(packed), "big"), dtype=np.uint8), count=len(labels)
-    )
+    missed = f"{uncovered:b}"[::-1]
     return ClassDnf(
         rating_index=rating_index,
         patterns=tuple(selected),
-        uncovered=tuple(view.record_ids[i] for i in np.flatnonzero(missed)),
+        uncovered=tuple(view.record_ids[r] for r, bit in enumerate(missed) if bit == "1"),
         relaxations=tuple(relaxations),
     )

@@ -1,9 +1,10 @@
 import csv
+import random
 from pathlib import Path
 
 import pytest
 
-from ladrating import CountryRecord, DEFAULT_SCALE, import_decision_tree
+from ladrating import CountryRecord, DEFAULT_SCALE, Dataset, classify, import_decision_tree
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TREE_DIR = REPO_ROOT / "data" / "trees"
@@ -33,3 +34,52 @@ def mismatch_rows():
             (int(r["year"]), r["split"], r["country"], r["model"], r["observed"])
             for r in csv.DictReader(fh)
         ]
+
+
+def noisy_dataset(seed: int, n_records: int = 150):
+    """Weak-signal data: a 16-class latent (class index plus N(0, 1)) seen
+    through C, EX, G and IM, indicator j scaled by 1 + 0.1 j, each with
+    N(0, 10) noise rounded to 4 places and 10% of values missing (never all
+    four of a record). Many cut points and long pattern lists per stage."""
+    rng = random.Random(seed)
+    classes = DEFAULT_SCALE.classes
+    codes = ("C", "EX", "G", "IM")
+    records = []
+    for i in range(n_records):
+        c = rng.randrange(len(classes))
+        latent = c + rng.gauss(0.0, 1.0)
+        values = {
+            code: round(latent * (1 + 0.1 * j) + rng.gauss(0.0, 10.0), 4)
+            for j, code in enumerate(codes)
+        }
+        present = [rng.random() >= 0.1 for _ in codes]
+        while not any(present):
+            present = [rng.random() >= 0.1 for _ in codes]
+        kept = {code: v for (code, v), keep in zip(values.items(), present) if keep}
+        records.append(make_record(f"noisy{i:03d}", kept, classes[c]))
+    return Dataset(records=tuple(records))
+
+
+def published_tree_dataset(year: int, seed: int, n_records: int = 100):
+    """Records rated by a published tree, at the paper's scale of about 100
+    countries: each of the tree's indicators uniform over its threshold range
+    widened by a quarter on each side, rounded to 4 places, 10% missing."""
+    model = import_decision_tree(tree_text(year), DEFAULT_SCALE, year, strict=False)
+    thresholds: dict[str, list[float]] = {}
+    for stage in model.stages:
+        for pattern in stage.patterns:
+            for lit in pattern.literals:
+                thresholds.setdefault(lit.indicator, []).append(lit.threshold)
+    rng = random.Random(seed)
+    records = []
+    for i in range(n_records):
+        values = {}
+        for code, ts in sorted(thresholds.items()):
+            lo, hi = min(ts), max(ts)
+            pad = 0.25 * ((hi - lo) or abs(lo) or 1.0)
+            v = round(rng.uniform(lo - pad, hi + pad), 4)
+            if rng.random() >= 0.1:
+                values[code] = v
+        rating = classify(model, make_record(f"country{i:03d}", values, year=year))
+        records.append(make_record(f"country{i:03d}", values, rating, year))
+    return Dataset(records=tuple(records))

@@ -22,7 +22,6 @@ from ladrating import (
     minimize_cutpoints,
 )
 from ladrating.binarize import LabeledRecords, StageRecords
-from ladrating.patterns import _row_keys
 
 
 def rec(values, country="x", year=2012):
@@ -100,11 +99,12 @@ def _reference_binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) 
     """Encode labeled records over `cutpoints`, one indicator at a time.
 
     An indicator absent from a record's values is missing; a present value,
-    NaN included, is compared against the thresholds (NaN >= t is false).
+    NaN included, is compared against the thresholds (NaN >= t and NaN <= t
+    are false).
     """
     n, m = len(records), len(cutpoints)
     matrix = np.zeros((n, m), dtype=bool)
-    missing = np.zeros((n, m), dtype=bool)
+    at_most = np.zeros((n, m), dtype=bool)
     labels = np.fromiter((label for _, label in records), dtype=bool, count=n)
     columns: dict[str, list[int]] = {}
     for j, cp in enumerate(cutpoints):
@@ -116,9 +116,9 @@ def _reference_binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) 
         )
         thresholds = np.array([cutpoints[j].threshold for j in js])
         matrix[:, js] = (values[:, None] >= thresholds) & present[:, None]
-        missing[:, js] = ~present[:, None]
+        at_most[:, js] = (values[:, None] <= thresholds) & present[:, None]
     ids = tuple(rec.record_id for rec, _ in records)
-    return BinaryView(ids, matrix, missing, labels, tuple(cutpoints))
+    return BinaryView(ids, matrix, at_most, labels, tuple(cutpoints))
 
 
 def _without_nan(records):
@@ -225,6 +225,12 @@ def _reference_exact_cover(masks: list[int], full: int) -> list[int]:
 # Reference dedupe: the sort-and-merge `_distinct_pairs` the hashed one
 # replaced, kept verbatim as the oracle for identical pair rows.
 _BLOCK_BYTES = 1 << 24
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row, for sorting and searching rows."""
+    width = rows.shape[1] * rows.itemsize
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
 
 
 def _reference_distinct_pairs(
@@ -427,7 +433,7 @@ def _assert_matches_reference(given, records, cutpoints):
     got, want = binarize(given, cutpoints), _reference_binarize(plain, cutpoints)
     assert got.record_ids == want.record_ids
     assert got.cutpoints == want.cutpoints
-    for field in ("matrix", "missing", "labels"):
+    for field in ("matrix", "at_most", "labels"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert (a == b).all()
@@ -472,6 +478,22 @@ class TestCandidates:
         cuts = all_candidate_cutpoints(labeled([(low, False), (high, True)]), ["G"])
         assert cuts == [CutPoint("G", low / 2 + high / 2)]
         assert low < cuts[0].threshold < high
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (1.0, 1.0000000000000002),  # the midpoint rounds down onto `low`
+            (1.0000000000000002, 1.0000000000000004),  # and up onto `high`
+            (-1.0000000000000002, -1.0),
+            (0.0, 5e-324),
+        ],
+    )
+    def test_midpoint_of_adjacent_floats_is_the_upper_one(self, low, high):
+        # No float lies strictly between them; `>= high` still separates.
+        assert math.nextafter(low, math.inf) == high
+        for low_positive in (False, True):
+            records = labeled([(low, low_positive), (high, not low_positive)])
+            assert all_candidate_cutpoints(records, ["G"]) == [CutPoint("G", high)]
 
     def test_single_class_yields_nothing(self):
         assert all_candidate_cutpoints(labeled([(1, True), (2, True), (3, True)]), ["G"]) == []
@@ -722,10 +744,10 @@ class TestBinarize:
         view = binarize([(rec({"G": 5436.0}), True)], [CutPoint("G", 5436.0)])
         assert view.matrix[0, 0]
 
-    def test_missing_is_false_and_flagged(self):
+    def test_missing_is_false_both_ways(self):
         view = binarize([(rec({}), True)], [CutPoint("G", 5436.0)])
         assert not view.matrix[0, 0]
-        assert view.missing[0, 0]
+        assert not view.at_most[0, 0]
 
     @given(
         st.lists(
@@ -751,14 +773,14 @@ class TestBinarize:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_literal_evaluate(self, records, cutpoints):
         view = binarize(records, cutpoints)
-        assert view.matrix.shape == view.missing.shape == (len(records), len(cutpoints))
+        assert view.matrix.shape == view.at_most.shape == (len(records), len(cutpoints))
         for i, (r, label) in enumerate(records):
             assert view.labels[i] == label
             for j, cp in enumerate(cutpoints):
                 assert view.matrix[i, j] == Literal(cp.indicator, ">=", cp.threshold).evaluate(r)
-                assert view.missing[i, j] == (cp.indicator not in r.values)
+                assert view.at_most[i, j] == Literal(cp.indicator, "<=", cp.threshold).evaluate(r)
 
     def test_in_memory_nan_is_missing(self):
         view = binarize([(rec({"G": float("nan")}), True)], [CutPoint("G", 1.0)])
         assert not view.matrix[0, 0]
-        assert view.missing[0, 0]
+        assert not view.at_most[0, 0]

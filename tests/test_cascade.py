@@ -38,7 +38,7 @@ from ladrating import cascade as cascade_module
 from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, Split, value_matrix
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
-from conftest import TREE_YEARS, tree_text
+from conftest import TREE_YEARS, noisy_dataset, published_tree_dataset, tree_text
 
 data_module = importlib.import_module("ladrating.data")
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
@@ -84,6 +84,10 @@ PINNED_TREES = {
     "clustered-1-split": "dde6a1cc2c6f7c17ffcc265ba0ce627b480dcfff6ccd704e4b8296a7fe81829b",
     "three-class": "8bd285204bcc623316257b062db848abded282ebfba239d771f7e834c94bf364",
     "nested-16": "b09c36d31375622b1077eb3cc7c20cbb19c0b2546c823d8ed4c3be039aab747a",
+    "noisy-0": "f589233476249ee8338c2af0a772d8f1133464e4c201b2de20e233331179cf48",
+    "noisy-1": "9234613f027b138e400792eabe7ae3009de3155598afa063424a12072627d9b1",
+    "noisy-2": "958779a5ce2482e5f745f3ccaf9e6439439ad74ea43cb45c4a76a27c6fc72b5b",
+    "published-2014": "cc3ce9d46530a80938fd8ea26c315d9b608e4a2740810337651eaf0195445f52",
 }
 
 PINNED_DATASETS = {
@@ -96,6 +100,14 @@ PINNED_DATASETS = {
     "clustered-1-split": lambda: split_dataset(clustered_dataset(1, n_records=150), 0.65, 1),
     "three-class": three_class_dataset,
     "nested-16": nested_16_dataset,
+    # Shapes that load pattern mining: weak-signal data like the train-noisy
+    # benchmark inputs (a 0.65 split), and about 100 records rated by the
+    # published 2014 tree.
+    **{
+        f"noisy-{s}": (lambda s=s: split_dataset(noisy_dataset(s), 0.65, s))
+        for s in range(3)
+    },
+    "published-2014": lambda: published_tree_dataset(2014, seed=0),
 }
 
 
@@ -151,6 +163,28 @@ class TestTrain:
     def test_trees_pinned(self, case):
         tree = export_decision_tree(train_cascade(PINNED_DATASETS[case]()))
         assert hashlib.sha256(tree.encode()).hexdigest() == PINNED_TREES[case]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DATASETS) + ["adjacent-up", "adjacent-down"])
+    def test_pattern_counts_match_pattern_matches(self, case):
+        # The mining truth table must agree with `Literal.evaluate`, also
+        # where a cut point falls between adjacent floats.
+        if case.startswith("adjacent"):
+            low = 1.0 if case == "adjacent-down" else 1.0000000000000002
+            high = math.nextafter(low, INF)
+            ds = Dataset(records=(rec("x", {"G": low}, "AAA"), rec("y", {"G": high}, "BM")))
+        else:
+            ds = PINNED_DATASETS[case]()
+        model = train_cascade(ds)
+        rank = {r.key: ds.scale.classes.index(r.observed_rating) for r in ds.train_records}
+        patterns = 0
+        for stage in model.stages:
+            positives = [r for r in ds.train_records if rank[r.key] < stage.rating_index]
+            negatives = [r for r in ds.train_records if rank[r.key] >= stage.rating_index]
+            for p in stage.patterns:
+                assert p.covered_positives == sum(map(p.matches, positives))
+                assert p.covered_negatives == sum(map(p.matches, negatives))
+                patterns += 1
+        assert patterns or case.startswith("adjacent")
 
     def test_fingerprint_is_computed_once_per_dataset(self, monkeypatch):
         serialized = []

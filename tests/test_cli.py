@@ -120,6 +120,36 @@ def test_train_separates_values_whose_sum_overflows(tmp_path, capsys):
     assert 1.0e308 < literal.threshold < 1.6e308
 
 
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        ("1", "1.0000000000000002"),  # their midpoint rounds down onto 1
+        ("1.0000000000000002", "1.0000000000000004"),  # and up onto the higher one
+    ],
+)
+@pytest.mark.parametrize("low_rating, high_rating", [("AAA", "BM"), ("BM", "AAA")])
+def test_train_separates_adjacent_floats(tmp_path, capsys, low, high, low_rating, high_rating):
+    data = tmp_path / "adjacent.csv"
+    data.write_text(
+        f"country,year,rating,G\nX,2012,{low_rating},{low}\nY,2012,{high_rating},{high}\n"
+    )
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(data), "--year", "2012", "--out", str(out)]) == EXIT_OK
+    model = import_decision_tree((tmp_path / "m.tree.txt").read_text(), DEFAULT_SCALE, 2012)
+    x = CountryRecord("X", 2012, {"G": float(low)})
+    y = CountryRecord("Y", 2012, {"G": float(high)})
+    # The cut point is the higher value: `G >= high` separates the two, but
+    # `G <= high` holds for both, so a lower positive stays uncovered.
+    assert classify(model, y) == high_rating
+    log = (tmp_path / "m.train.log").read_text()
+    if low_rating == "AAA":
+        assert "stage 1 (AAA): uncovered positives X:2012" in log
+        assert classify(model, x) == "BM"  # the fallback
+    else:
+        assert "uncovered" not in log
+        assert classify(model, x) == low_rating
+
+
 def test_train_coverage_failure_exit_code(tmp_path):
     # two separated positive islands, relaxation disabled, full coverage demanded
     data = tmp_path / "thin.csv"

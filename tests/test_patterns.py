@@ -21,9 +21,14 @@ from ladrating import (
     enumerate_patterns,
     select_dnf,
 )
+from ladrating import split_dataset, train_cascade
 from ladrating.binarize import BinaryView
+from ladrating import cascade as cascade_module
 from ladrating import patterns as patterns_module
 from ladrating.patterns import _EPS
+from ladrating.synthetic import clustered_dataset
+
+from conftest import noisy_dataset
 
 
 def rec(values, country="x"):
@@ -350,21 +355,19 @@ def test_select_dnf_covers_agree_with_pattern_matches(
 # once per stage. Verbatim but for the names: every relaxation step
 # re-enumerates, and pruning scans the prime patterns accepted so far. Truth
 # vectors come from `_literal_pool`, the unpacked literal pool enumeration
-# used before it moved to packed bit rows, also verbatim.
+# used before it moved to packed bit rows, verbatim but for reading the
+# <=-literal from `BinaryView.at_most`.
 
 def _literal_pool(view: BinaryView) -> list[tuple[Literal, np.ndarray]]:
     """Both directions per cut-point column, with their truth vectors.
 
-    The >=-literal is the column itself; the <=-literal (same threshold)
-    holds where the value is present and below it. Order: column index, >=
-    before <=.
+    The >=-literal is the `matrix` column; the <=-literal (same threshold)
+    is the `at_most` column. Order: column index, >= before <=.
     """
     pool = []
     for j, cp in enumerate(view.cutpoints):
-        col = view.matrix[:, j]
-        absent = view.missing[:, j]
-        pool.append((Literal(cp.indicator, ">=", cp.threshold), col & ~absent))
-        pool.append((Literal(cp.indicator, "<=", cp.threshold), ~col & ~absent))
+        pool.append((Literal(cp.indicator, ">=", cp.threshold), view.matrix[:, j]))
+        pool.append((Literal(cp.indicator, "<=", cp.threshold), view.at_most[:, j]))
     return pool
 
 
@@ -601,20 +604,40 @@ def random_view(rng, cuts, n_records):
     return binarize(records, cutpoints)
 
 
-CHUNK_CONFIGS = [
+RANDOM_VIEW_CONFIGS = [
     MiningConfig(max_degree=3, min_prevalence=0.7, min_homogeneity=0.75),
     MiningConfig(max_degree=2, min_prevalence=0.5, dnf_coverage_target=0.8),
     MiningConfig(max_degree=3, min_prevalence=1 / 3, relaxation_schedule=(0.2, 0.0)),
 ]
 
 
-@pytest.mark.parametrize("config", CHUNK_CONFIGS)
-def test_chunked_enumeration_matches_reference(monkeypatch, config):
-    # One byte per chunk: every candidate conjunction is a chunk of its own.
-    monkeypatch.setattr(patterns_module, "_CHUNK_BYTES", 1)
+@pytest.mark.parametrize("config", RANDOM_VIEW_CONFIGS)
+def test_random_views_match_reference(config):
     rng = random.Random(11)
     for _ in range(8):
         view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14)
+        assert_matches_reference(view, config)
+
+
+@pytest.mark.parametrize(
+    "dataset, widest",
+    [(lambda: clustered_dataset(0), 3), (lambda: split_dataset(noisy_dataset(0), 0.65, 0), 10)],
+    ids=["clustered", "noisy"],
+)
+def test_training_stage_views_match_reference(monkeypatch, dataset, widest):
+    # Every view training mines; the weak-signal ones have more cut points
+    # than the views above.
+    calls = []
+    select = cascade_module.select_dnf
+
+    def spy(view, config, **kwargs):
+        calls.append((view, config))
+        return select(view, config, **kwargs)
+
+    monkeypatch.setattr(cascade_module, "select_dnf", spy)
+    train_cascade(dataset())
+    assert max(len(view.cutpoints) for view, _ in calls) >= widest
+    for view, config in calls:
         assert_matches_reference(view, config)
 
 
@@ -627,13 +650,29 @@ def bits_view(rows):
     return binarize(records, [CutPoint(code, 0.5) for code in ("C", "EX", "G")])
 
 
-def test_pruning_looks_past_the_sub_patterns_one_literal_shorter():
-    # (C, EX, G) is pure, but its only listed sub-pattern is C (homogeneity
-    # 0.7): the three pairs fall below the homogeneity floor.
-    rows = [((1, 1, 1), True)] + [((1, 0, 0), True)] * 6
-    rows += [((1, 1, 0), False)] * 2 + [((1, 0, 1), False)] + [((0, 1, 1), False)] * 2
+@pytest.mark.parametrize(
+    "rows, min_prevalence",
+    [
+        # (C, EX, G) is pure, but its only listed sub-pattern is C
+        # (homogeneity 0.7): the three pairs fall below the homogeneity floor.
+        (
+            [((1, 1, 1), True)] + [((1, 0, 0), True)] * 6 + [((1, 1, 0), False)] * 2
+            + [((1, 0, 1), False)] + [((0, 1, 1), False)] * 2,
+            0.1,
+        ),
+        # Neither C nor (C, EX) is a pattern, so pruned enumeration builds
+        # (C, EX, G); its only listed sub-pattern is G (homogeneity 11/15),
+        # as (C, G) and (EX, G) fall below the homogeneity floor.
+        (
+            [((1, 1, 1), True)] + [((0, 0, 1), True)] * 10 + [((1, 1, 0), False)]
+            + [((1, 0, 1), False)] * 2 + [((0, 1, 1), False)] * 2,
+            0.05,
+        ),
+    ],
+)
+def test_pruning_looks_past_the_sub_patterns_one_literal_shorter(rows, min_prevalence):
     view = bits_view(rows)
-    config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.7)
+    config = MiningConfig(min_prevalence=min_prevalence, min_homogeneity=0.7)
     triple = tuple(Literal(code, ">=", 0.5) for code in ("C", "EX", "G"))
     assert triple in {p.literals for p in enumerate_patterns(view, config, prune=False)}
     assert triple not in {p.literals for p in enumerate_patterns(view, config)}
@@ -671,30 +710,60 @@ def test_many_cuts_on_one_indicator_match_reference():
         assert any(p.degree > 1 for p in enumerate_patterns(view, config, prune=False))
 
 
+def trace_extensions(monkeypatch) -> list[tuple[Literal, ...]]:
+    """Make enumeration record each conjunction it extends, as its literals.
+
+    Enumeration ANDs a conjunction's cover with one literal's truth row to
+    extend it; here the rows of `_literal_table` become int subclasses that
+    log the left operand's literals on each such AND. The empty
+    conjunction's cover is a plain int: extending it logs nothing.
+    """
+    extended: list[tuple[Literal, ...]] = []
+    literal_table = patterns_module._literal_table
+
+    class Cover(int):
+        def __and__(self, other):
+            if not isinstance(other, Cover):
+                return int(self) & other
+            extended.append(self.literals)
+            return traced(int(self) & int(other), self.literals + other.literals)
+
+        def __rand__(self, other):
+            return traced(other & int(self), self.literals)
+
+    def traced(row: int, literals: tuple[Literal, ...]) -> Cover:
+        cover = Cover(row)
+        cover.literals = literals
+        return cover
+
+    def table(view):
+        keys, rows, positives = literal_table(view)
+        return keys, [traced(r, (Literal(*k),)) for k, r in zip(keys, rows)], positives
+
+    monkeypatch.setattr(patterns_module, "_literal_table", table)
+    return extended
+
+
 def test_patterns_are_not_extended_when_pruning(monkeypatch):
     # An extension of a pattern has that pattern as a sub-pattern, so is
     # never prime: pruned enumeration must not build it.
-    seen = []
-    extensions = patterns_module._extensions
-
-    def spy(prefixes, covers, rows, groups):
-        seen.extend(map(tuple, prefixes.tolist()))
-        return extensions(prefixes, covers, rows, groups)
-
-    monkeypatch.setattr(patterns_module, "_extensions", spy)
     rng = random.Random(13)
     config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.75)
+    views = [
+        random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 20)
+        for _ in range(8)
+    ]
+    expected = [enumerate_patterns(view, config) for view in views]
+    extended = trace_extensions(monkeypatch)
     extended_patterns = pruned_prefixes = 0
-    for _ in range(8):
-        view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 20)
-        literals = patterns_module._literal_table(view)[0]
-        seen.clear()
+    for view, primes in zip(views, expected):
+        extended.clear()
         accepted = {p.literals for p in enumerate_patterns(view, config, prune=False)}
-        extended_patterns += sum(tuple(literals[i] for i in row) in accepted for row in seen)
-        seen.clear()
-        enumerate_patterns(view, config)
-        pruned_prefixes += len(seen)
-        assert not any(tuple(literals[i] for i in row) in accepted for row in seen)
+        extended_patterns += sum(literals in accepted for literals in extended)
+        extended.clear()
+        assert enumerate_patterns(view, config) == primes
+        pruned_prefixes += len(extended)
+        assert not any(literals in accepted for literals in extended)
     # Both counts must be non-zero, or the data shows nothing.
     assert extended_patterns > 0
     assert pruned_prefixes > 0
@@ -703,23 +772,19 @@ def test_patterns_are_not_extended_when_pruning(monkeypatch):
 def test_max_degree_is_capped_at_the_literal_groups(monkeypatch):
     # Three indicators give six (indicator, direction) groups, and a
     # conjunction takes at most one literal of each.
-    widths = []
-    conjunctions = patterns_module._conjunctions
-
-    def spy(*args):
-        keys, cp, cn = conjunctions(*args)
-        widths.append(keys.shape[1])
-        return keys, cp, cn
-
-    monkeypatch.setattr(patterns_module, "_conjunctions", spy)
     cuts = {"C": [0.5, 1.5], "EX": [0.5, 1.5], "G": [0.5, 1.5]}
     view = random_view(random.Random(2), cuts, 16)
     six = MiningConfig(max_degree=6, min_prevalence=0.0, min_homogeneity=0.5)
     huge = replace(six, max_degree=10_000)
     assert max(p.degree for p in enumerate_patterns(view, six, prune=False)) == 6
+    extended = trace_extensions(monkeypatch)
     for prune in (True, False):
-        assert enumerate_patterns(view, huge, prune=prune) == enumerate_patterns(
-            view, six, prune=prune
-        )
+        extended.clear()
+        at_six = enumerate_patterns(view, six, prune=prune)
+        six_extended = list(extended)
+        extended.clear()
+        assert enumerate_patterns(view, huge, prune=prune) == at_six
+        # No conjunction of more than six literals is ever built.
+        assert extended == six_extended
+        assert max(map(len, extended)) <= 5
     assert select_dnf(view, huge) == select_dnf(view, six)
-    assert widths and max(widths) <= 6
