@@ -109,7 +109,8 @@ class CascadeModel:
     def _first_match_index(self) -> Callable[[Callable[[str, float], float]], int]:
         """`_first_match` compiled into one function of a record's
         `values.get`, returning the index of the first entry whose checks
-        all hold: the index `first_match` gives. Built on the first
+        all hold: the index `first_match` gives. It reads a code once, just
+        before the first entry that tests it. Built on the first
         `classify`, once per model (see `_compile_first_match`)."""
         return _compile_first_match(self._first_match)
 
@@ -141,26 +142,33 @@ def _compare(x: str, lo: float, hi: float) -> str:
 
 def _compile_first_match(table: Sequence[tuple[Optional[str], tuple[Check, ...]]]):
     """One Python function for a first-match table, as `dataclasses` builds
-    `__init__`: it reads each code once, `x_i = get(K[i], NAN)`, then has
-    one `if` per entry whose compares return the entry's index, and an entry
-    without checks returns unconditionally and ends the function.
+    `__init__`: one `if` per entry whose compares return the entry's index,
+    and an entry without checks returns unconditionally and ends the
+    function. Each code is read once, `x_i = get(K[i], NAN)`, just before
+    the first entry that tests it; the function is straight-line, so every
+    later use has run that read. A record decided by entry e reads only the
+    codes of entries 0..e.
 
     Only fixed names, integer indices and the `repr` of finite float
-    thresholds reach `compile`; the codes are bound as the tuple `K`, ±inf
-    and NaN as names, so no data string becomes source. The function is
-    popped from its globals, so the two form no reference cycle.
+    thresholds reach `compile`; the codes it reads are bound as the tuple
+    `K`, in first-use order, and ±inf and NaN as names, so no data string
+    becomes source. The function is popped from its globals, so the two
+    form no reference cycle.
     """
-    codes = tuple(dict.fromkeys(code for _, checks in table for code, _, _ in checks))
-    slot = {code: f"x{i}" for i, code in enumerate(codes)}
+    slot: dict[str, str] = {}  # each code read so far: its local, `x` + its index in `K`
     lines = ["def first_match_index(get):"]
-    lines += [f"    x{i} = get(K[{i}], NAN)" for i in range(len(codes))]
     for e, (_, checks) in enumerate(table):
         if not checks:
             lines.append(f"    return {e}")
             break
+        for code, _, _ in checks:
+            if code not in slot:
+                i = len(slot)
+                slot[code] = f"x{i}"
+                lines.append(f"    x{i} = get(K[{i}], NAN)")
         test = " and ".join(_compare(slot[code], lo, hi) for code, lo, hi in checks)
         lines += [f"    if {test}:", f"        return {e}"]
-    namespace = {"K": codes, "NAN": _NAN, "INF": math.inf, "NINF": -math.inf}
+    namespace = {"K": tuple(slot), "NAN": _NAN, "INF": math.inf, "NINF": -math.inf}
     exec(compile("\n".join(lines), "<first-match table>", "exec"), namespace)
     return namespace.pop("first_match_index")
 
@@ -258,9 +266,11 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
     where a missing value or a NaN holds for none. The table is compiled
     into one Python function on the model's first `classify`
     (`CascadeModel._first_match_index`), so a call is that function plus a
-    label lookup. The references it must agree with are the stage walks
-    over `Literal.evaluate`: `ClassDnf.matches`, and the oracles in the
-    tests and the benchmark.
+    label lookup. The function reads a code of the record once, just
+    before the first entry that tests it, so a record decided early reads
+    only the codes of the entries up to the deciding one. The references it
+    must agree with are the stage walks over `Literal.evaluate`:
+    `ClassDnf.matches`, and the oracles in the tests and the benchmark.
     """
     return model._first_match[model._first_match_index(record.values.get)][0]
 

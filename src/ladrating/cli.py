@@ -14,6 +14,8 @@ Exit codes: 0 ok, 2 usage, 3 parse/data error, 4 contradiction,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -251,11 +253,11 @@ def _classify_like(args, suggest: bool) -> int:
         for rec in records:
             _require_unrated(rec)
     kind = "suggested" if suggest else "classified"
-    lines = [
-        f"{rec.country_id},{rec.year},{kind},{classify(model, rec) or 'UNCLASSIFIED'}"
-        for rec in records
-    ]
-    _emit(args.out, "\n".join(lines) + "\n")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        (rec.country_id, rec.year, kind, classify(model, rec) or "UNCLASSIFIED") for rec in records
+    )
+    _emit(args.out, out.getvalue())
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import weakref
 from dataclasses import replace
 
@@ -663,6 +664,60 @@ class TestCompiledTable:
     @settings(max_examples=200, deadline=None)
     def test_hostile_codes_and_labels(self, model, records):
         _assert_batch_agrees(model, records + _threshold_probes(model))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("kind", ["tree-2015", "hostile"])
+    def test_codes_are_read_just_before_their_first_entry(self, monkeypatch, kind, policy):
+        # A record decided by entry e reads the codes of entries 0..e, each
+        # once, in first-use order; a fallback record reads every code.
+        if kind == "tree-2015":
+            tree = import_decision_tree(tree_text(2015), DEFAULT_SCALE, 2015, strict=False)
+            model = _with_policy(tree, policy)
+        else:
+            lit = Literal
+            a, b, c = HOSTILE_CODES[4], HOSTILE_CODES[5], HOSTILE_CODES[0]
+            model = CascadeModel(RatingScale(HOSTILE_CLASSES, fallback_policy=policy), 2012, (
+                ClassDnf(1, (Pattern((lit(a, ">=", 2.0), lit(b, "<=", 1.0), lit(a, "<=", 3.0))),)),
+                ClassDnf(2, (Pattern((lit(b, ">=", 1.0),)), Pattern((lit(c, ">=", 2.0), lit(a, "<=", 0.0))))),
+                ClassDnf(3, ()),
+            ), tail=ClassDnf(4, (Pattern((lit("G", ">=", 1.0), lit(c, "<=", 0.0))),)))
+        sources = []
+        monkeypatch.setattr(
+            cascade_module, "compile", lambda source, *a: sources.append(source) or compile(source, *a),
+            raising=False,
+        )
+        table = model._first_match
+        every = list(dict.fromkeys(code for _, checks in table for code, _, _ in checks))
+
+        class LoggedValues(dict):
+            def get(self, code, default=None):
+                reads.append(code)
+                return super().get(code, default)
+
+        decided = set()
+        for probe in _threshold_probes(model) + [rec("none", {})]:
+            reads = []
+            label = classify(model, rec(probe.country_id, LoggedValues(probe.values)))
+            e = model._first_match_index(probe.values.get)
+            assert label == table[e][0]
+            assert reads == list(dict.fromkeys(code for _, checks in table[: e + 1] for code, _, _ in checks))
+            decided.add(e)
+            if e == len(table) - 1:
+                assert reads == every
+        assert len(decided) > 3 and len(table) - 1 in decided
+        # Only fixed names, indices and float reprs reach the source.
+        (source,) = sources
+        bound = r"(-?\d[\d.e+-]*|NAN|INF|NINF)"
+        compare = rf"(x\d+ == x\d+|x\d+ [<>]= {bound}|{bound} <= x\d+ <= {bound})"
+        shapes = [
+            r"def first_match_index\(get\):",
+            r"    x\d+ = get\(K\[\d+\], NAN\)",
+            rf"    if {compare}( and {compare})*:",
+            r"        return \d+",
+            r"    return \d+",
+        ]
+        for line in source.splitlines():
+            assert any(re.fullmatch(shape, line) for shape in shapes), line
 
     def test_two_thousand_entries(self):
         rng = random.Random(0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import tomllib
@@ -247,6 +249,32 @@ def test_data_row_without_values_is_rated(tmp_path, capsys):
     argv = ["classify", "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient", "--data", str(data)]
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == "X,2012,classified,AAA\nZ,2012,classified,BM\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "suggest"])
+def test_output_is_csv_for_quoted_ids(command, tmp_path, capsys):
+    # World Bank names carry commas: an id with a comma or a quote is written quoted.
+    data = tmp_path / "rows.csv"
+    data.write_text('country,year,G,U\n"Korea, Rep.",2012,60000,80\n"Cote d""Ivoire",2012,,\nX,2012,,\n')
+    argv = [command, "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient", "--data", str(data)]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    kind = "suggested" if command == "suggest" else "classified"
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["Korea, Rep.", "2012", kind, "AAA"],
+        ['Cote d"Ivoire', "2012", kind, "BM"],
+        ["X", "2012", kind, "BM"],
+    ]
+    assert out.splitlines()[-1] == f"X,2012,{kind},BM"  # a plain id is written as before
+
+
+@pytest.mark.parametrize("command", ["classify", "suggest"])
+def test_data_without_rows_prints_nothing(command, tmp_path, capsys):
+    data = tmp_path / "rows.csv"
+    data.write_text("country,year,G,U\n")
+    argv = [command, "--model", str(TREE_DIR / "tree_2012.txt"), "--lenient", "--data", str(data)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_suggest_flags_output(tmp_path, capsys):
