@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .data import CountryRecord, format_value, value_matrix
 from .errors import ContradictionError
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .binarize import StageRecords, all_candidate_cutpoints, binarize, minimize_cutpoints
 from .data import (
     DEFAULT_REGISTRY,

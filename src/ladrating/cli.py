@@ -136,15 +136,20 @@ def _mining_config(args) -> MiningConfig:
 
 def _write(path: Path, content: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")  # whatever the locale
 
 
 def _emit(out, content: str):
-    """Write `content` to the file `out`, or to stdout when `out` is unset."""
+    """Write `content` to the file `out`, or to stdout when `out` is unset;
+    text that stdout's encoding cannot hold is an I/O error."""
     if out:
         _write(Path(out), content)
-    else:
+        return
+    try:
         sys.stdout.write(content)
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise OSError(f"stdout ({exc.encoding}) cannot encode {bad!r}; use --out") from None
 
 
 def _write_bundle(out: Path, model: CascadeModel, fallback: str):
@@ -304,7 +309,7 @@ def cmd_evaluate(args) -> int:
         _write(out.with_suffix(".report.json"), machine + "\n")
         print(f"wrote {out.with_suffix('.report.txt')}")
     else:
-        sys.stdout.write(text)
+        _emit(None, text)
     return EXIT_OK
 
 

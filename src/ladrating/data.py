@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataFormatError
 
 
@@ -311,7 +310,7 @@ def load_dataset(
     records: list[CountryRecord] = []
     seen_keys: set[tuple[str, int]] = set()
     for lineno, row in enumerate(reader, start=2):
-        if not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) <= max(country_col, year_col):
             raise DataFormatError(

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .cascade import CascadeModel, first_match
 from .data import Dataset, RatingScale, rating_codes, sort_ranks
 from .errors import DataFormatError

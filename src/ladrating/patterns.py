@@ -8,8 +8,7 @@ import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .binarize import BinaryView, Literal
 from .data import CountryRecord
 from .errors import DataFormatError

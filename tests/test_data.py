@@ -34,6 +34,18 @@ class TestLoadDataset:
         assert "G" not in rec.values
         assert rec.values.get("G") is None
 
+    def test_rows_of_whitespace_cells_are_skipped(self):
+        text = (
+            "country,year,rating,G\n"
+            " , , , \n"
+            "X,2012,AAA,1\n"
+            "\t,\t\n"
+            "　,　,　\n"
+            " ,\t,　, \n"
+        )
+        ds = load_dataset(text)
+        assert ds.records == (CountryRecord("X", 2012, {"G": 1.0}, "AAA"),)
+
     def test_duplicate_key_rejected(self):
         text = "country,year,rating,G\nX,2012,AAA,1\nX,2012,AAA,2\n"
         with pytest.raises(DataFormatError, match="duplicate.*X.*2012"):
