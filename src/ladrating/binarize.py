@@ -12,8 +12,8 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterator, Optional, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._numpy import np
 from .data import CountryRecord, format_value, value_matrix
@@ -23,19 +23,19 @@ from .errors import ContradictionError
 LabeledRecords = Sequence[tuple[CountryRecord, bool]]
 
 
-@dataclass(frozen=True, order=True)
-class CutPoint:
+class CutPoint(NamedTuple):
     indicator: str
     threshold: float
 
 
-#: `CutPoint`'s sort key: the dataclass order, without a tuple per comparison.
-_CUT_ORDER = attrgetter("indicator", "threshold")
+class Literal(NamedTuple):
+    """Directed threshold comparison. Missing values never satisfy it.
 
-
-@dataclass(frozen=True, order=True)
-class Literal:
-    """Directed threshold comparison. Missing values never satisfy it."""
+    A tuple subclass, like `CutPoint`: it unpacks, equals the plain tuple
+    of its fields, and sorts and hashes as that tuple. Mining keys each
+    truth row by the literal itself, and the first-match table holds the
+    patterns' own literals.
+    """
 
     indicator: str
     direction: str  # ">=" or "<="
@@ -180,7 +180,7 @@ def all_candidate_cutpoints(
         neg = ~np.logical_and.reduceat(labels, starts)
         # Opposite classes face each other across the gap after run i.
         faces = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
-        cuts += [CutPoint(code, t) for t in midpoints[faces].tolist()]
+        cuts += map(CutPoint, repeat(code), midpoints[faces].tolist())
     return cuts
 
 
@@ -265,7 +265,7 @@ def minimize_cutpoints(
     Raises ContradictionError when some opposite-class pair is separated by
     no candidate at all; its `pairs` lists every such pair, positive-major.
     """
-    candidates = sorted(candidates, key=_CUT_ORDER)
+    candidates = sorted(candidates)
     view = binarize(records, candidates)
     pos = np.flatnonzero(view.labels)
     neg = np.flatnonzero(~view.labels)
@@ -276,7 +276,7 @@ def minimize_cutpoints(
     if pairs.shape[0] * len(candidates) <= exact_cell_limit:
         masks = _column_masks(pairs, len(candidates))
         chosen = _exact_cover(masks, (1 << pairs.shape[0]) - 1, chosen)
-    return sorted((candidates[c] for c in chosen), key=_CUT_ORDER)
+    return sorted(candidates[c] for c in chosen)
 
 
 def _distinct_pairs(

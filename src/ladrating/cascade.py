@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from ._numpy import np
-from .binarize import StageRecords, all_candidate_cutpoints, binarize, minimize_cutpoints
+from .binarize import Literal, StageRecords, all_candidate_cutpoints, binarize, minimize_cutpoints
 from .data import (
     DEFAULT_REGISTRY,
     CountryRecord,
@@ -31,17 +31,13 @@ from .treetext import parse_tree_text, render_tree_text
 TOOL_VERSION = "0.1.0"
 
 #: Rows per block in `first_match`. A block's bool arrays take about
-#: `_BLOCK_ROWS` x (entries + distinct checks) bytes: on the published trees
-#: (at most 56 entries and 136 distinct checks) about 1.9 MB at 10,000 rows
-#: and 3.1 MB for a full block. Its Python loop runs once per entry and
-#: check of every block, so small blocks are slow.
+#: `_BLOCK_ROWS` x (entries + distinct literals) bytes: on the published
+#: trees (at most 56 entries and 136 distinct literals) about 1.9 MB at
+#: 10,000 rows and 3.1 MB for a full block. Its Python loop runs once per
+#: entry and literal of every block, so small blocks are slow.
 _BLOCK_ROWS = 16384
 
 _NAN = math.nan
-
-#: One literal as a closed interval: it holds iff the record has a value
-#: for `code` and `lo <= value <= hi`.
-Check = tuple[str, float, float]
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,17 @@ class CascadeModel:
                 )
 
     @cached_property
-    def _first_match(self) -> tuple[tuple[Optional[str], tuple[Check, ...]], ...]:
-        """The model as one first-match table: `(label, checks)` per pattern.
+    def _first_match(self) -> tuple[tuple[Optional[str], tuple[Literal, ...]], ...]:
+        """The model as one first-match table: `(label, literals)` per
+        pattern, where `literals` is the pattern's own `literals` tuple.
 
         Order: the stages' patterns in stage order; then the tail's, under
         the unclassified policy only; last a zero-literal entry, which always
         holds, carrying the fallback (the last class, or None). A record
-        takes the label of the first entry whose checks all hold.
-
-        Each check is `(code, lo, hi)`: a `>= t` literal is `(code, t, +inf)`,
-        a `<= t` literal `(code, -inf, t)`. A missing value or a NaN fails
-        both comparisons; with ±inf values or thresholds every check gives
-        what `Literal.evaluate` gives. Built on first use, once per model:
-        the model is frozen, so nothing invalidates it.
+        takes the label of the first entry whose literals all hold, each as
+        `Literal.evaluate` has it: one compare of the value with the
+        threshold, which a missing value or a NaN fails. Built on first use,
+        once per model: the model is frozen, so nothing invalidates it.
         """
         classes = self.scale.classes
         entries = [(classes[s.rating_index - 1], p) for s in self.stages for p in s.patterns]
@@ -93,21 +87,12 @@ class CascadeModel:
             fallback = None
             if self.tail is not None:
                 entries += [(classes[-1], p) for p in self.tail.patterns]
-        table = [
-            (label, tuple(
-                (lit.indicator, lit.threshold, math.inf) if lit.direction == ">="
-                else (lit.indicator, -math.inf, lit.threshold)
-                for lit in p.literals
-            ))
-            for label, p in entries
-        ]
-        table.append((fallback, ()))
-        return tuple(table)
+        return tuple((label, p.literals) for label, p in entries) + ((fallback, ()),)
 
     @cached_property
     def _first_match_index(self) -> Callable[[Callable[[str, float], float]], int]:
         """`_first_match` compiled into one function of a record's
-        `values.get`, returning the index of the first entry whose checks
+        `values.get`, returning the index of the first entry whose literals
         all hold: the index `first_match` gives. It reads a code once, just
         before the first entry that tests it. Built on the first
         `classify`, once per model (see `_compile_first_match`)."""
@@ -128,44 +113,39 @@ def _bound(t: float) -> str:
     return "NAN" if t != t else "INF" if t > 0 else "NINF"
 
 
-def _compare(x: str, lo: float, hi: float) -> str:
-    """The check `lo <= x <= hi` as source, with no compare against ±inf."""
-    if lo == -math.inf and hi == math.inf:
-        return f"{x} == {x}"  # false only for NaN, which a missing value reads as
-    if hi == math.inf:
-        return f"{x} >= {_bound(lo)}"
-    if lo == -math.inf:
-        return f"{x} <= {_bound(hi)}"
-    return f"{_bound(lo)} <= {x} <= {_bound(hi)}"
+def _compare(x: str, lit: Literal) -> str:
+    """`lit` on the local `x` as source: one compare, where any direction
+    but `>=` is `<=`, as in `Literal.evaluate`."""
+    return f"{x} {'>=' if lit.direction == '>=' else '<='} {_bound(lit.threshold)}"
 
 
-def _compile_first_match(table: Sequence[tuple[Optional[str], tuple[Check, ...]]]):
+def _compile_first_match(table: Sequence[tuple[Optional[str], tuple[Literal, ...]]]):
     """One Python function for a first-match table, as `dataclasses` builds
-    `__init__`: one `if` per entry whose compares return the entry's index,
-    and an entry without checks returns unconditionally and ends the
-    function. Each code is read once, `x_i = get(K[i], NAN)`, just before
-    the first entry that tests it; the function is straight-line, so every
-    later use has run that read. A record decided by entry e reads only the
-    codes of entries 0..e.
+    `__init__`: one `if` per entry, with one compare per literal, returns
+    the entry's index, and an entry without literals returns
+    unconditionally and ends the function. Each code is read once,
+    `x_i = get(K[i], NAN)`, just before the first entry that tests it; the
+    function is straight-line, so every later use has run that read. A
+    record decided by entry e reads only the codes of entries 0..e.
 
-    Only fixed names, integer indices and the `repr` of finite float
-    thresholds reach `compile`; the codes it reads are bound as the tuple
-    `K`, in first-use order, and ±inf and NaN as names, so no data string
-    becomes source. The function is popped from its globals, so the two
-    form no reference cycle.
+    Only fixed names, integer indices, the two compare operators and the
+    `repr` of finite float thresholds reach `compile`; the codes it reads
+    are bound as the tuple `K`, in first-use order, and ±inf and NaN as
+    names, so no data string becomes source. The function is popped from
+    its globals, so the two form no reference cycle.
     """
     slot: dict[str, str] = {}  # each code read so far: its local, `x` + its index in `K`
     lines = ["def first_match_index(get):"]
-    for e, (_, checks) in enumerate(table):
-        if not checks:
+    for e, (_, literals) in enumerate(table):
+        if not literals:
             lines.append(f"    return {e}")
             break
-        for code, _, _ in checks:
-            if code not in slot:
+        for lit in literals:
+            if lit.indicator not in slot:
                 i = len(slot)
-                slot[code] = f"x{i}"
+                slot[lit.indicator] = f"x{i}"
                 lines.append(f"    x{i} = get(K[{i}], NAN)")
-        test = " and ".join(_compare(slot[code], lo, hi) for code, lo, hi in checks)
+        test = " and ".join(_compare(slot[lit.indicator], lit) for lit in literals)
         lines += [f"    if {test}:", f"        return {e}"]
     namespace = {"K": tuple(slot), "NAN": _NAN, "INF": math.inf, "NINF": -math.inf}
     exec(compile("\n".join(lines), "<first-match table>", "exec"), namespace)
@@ -261,9 +241,9 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
     """Rating of the first matching stage; None means Unclassified.
 
     The label of the first entry of the model's first-match table
-    (`CascadeModel._first_match`) whose `(code, lo, hi)` checks all hold,
-    where a missing value or a NaN holds for none. The table is compiled
-    into one Python function on the model's first `classify`
+    (`CascadeModel._first_match`) whose literals all hold, where a missing
+    value or a NaN holds for none. The table is compiled into one Python
+    function on the model's first `classify`
     (`CascadeModel._first_match_index`), so a call is that function plus a
     label lookup. The function reads a code of the record once, just
     before the first entry that tests it, so a record decided early reads
@@ -281,11 +261,11 @@ def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -
     column per code of `codes`, NaN for a missing value (as `value_matrix`
     builds it); a column-major one (`Dataset.labeled_arrays`) reads each
     column contiguously. Per block of `_BLOCK_ROWS` rows, each distinct
-    check of the table becomes one boolean column on first use
+    literal of the table becomes one boolean column on first use
     (`_check_truth`), and row e of an entries x rows matrix is the AND of
-    entry e's check columns. The fallback entry has no checks, so its row
-    stays all-true and every row matches one. Besides `values`, a block
-    holds about `_BLOCK_ROWS` x (entries + distinct checks) bytes.
+    entry e's literal columns. The fallback entry has no literals, so its
+    row stays all-true and every row matches one. Besides `values`, a block
+    holds about `_BLOCK_ROWS` x (entries + distinct literals) bytes.
 
     `values` is only read, and rows keep their order, which is the record
     order that `evaluate`'s mismatch rows fall back on when they tie.
@@ -295,31 +275,26 @@ def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -
     index = np.empty(len(values), dtype=np.intp)
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
-        truth: dict[Check, np.ndarray] = {}
+        truth: dict[Literal, np.ndarray] = {}
         matches = np.ones((len(table), len(block)), dtype=bool)
-        for row, (_, checks) in zip(matches, table):
-            for check in checks:
-                held = truth.get(check)
+        for row, (_, literals) in zip(matches, table):
+            for lit in literals:
+                held = truth.get(lit)
                 if held is None:
-                    held = truth[check] = _check_truth(block, column_of.get(check[0]), check)
+                    held = truth[lit] = _check_truth(block, column_of.get(lit.indicator), lit)
                 row &= held
         index[start:start + len(block)] = matches.argmax(axis=0)
     return index
 
 
-def _check_truth(block: np.ndarray, column: Optional[int], check: Check) -> np.ndarray:
-    """Where `lo <= x <= hi` holds on `block[:, column]`, with the split of
-    `_compare`: one compare when a bound is infinite. NaN fails every
-    compare; no column (a code the matrix lacks) holds nowhere."""
+def _check_truth(block: np.ndarray, column: Optional[int], lit: Literal) -> np.ndarray:
+    """Where `lit` holds on `block[:, column]`: the one compare of
+    `_compare`, which NaN fails. No column (a code the matrix lacks) holds
+    nowhere."""
     if column is None:
         return np.zeros(len(block), dtype=bool)
-    _, lo, hi = check
     x = block[:, column]
-    if hi == math.inf:
-        return x >= lo
-    if lo == -math.inf:
-        return x <= hi
-    return (lo <= x) & (x <= hi)
+    return x >= lit.threshold if lit.direction == ">=" else x <= lit.threshold
 
 
 def import_decision_tree(
@@ -403,17 +378,17 @@ def key_variables(model: CascadeModel) -> KeyVariableReport:
         if s.patterns
     }
     groups = {}
-    for lo, hi in KEY_VARIABLE_GROUPS:
-        if lo > len(model.scale):
+    for first, last in KEY_VARIABLE_GROUPS:
+        if first > len(model.scale):
             continue  # a shorter scale has no such group
-        hi = min(hi, len(model.scale))
+        last = min(last, len(model.scale))
         label = (
-            model.scale.classes[lo - 1]
-            if lo == hi
-            else f"{model.scale.classes[lo - 1]}-{model.scale.classes[hi - 1]}"
+            model.scale.classes[first - 1]
+            if first == last
+            else f"{model.scale.classes[first - 1]}-{model.scale.classes[last - 1]}"
         )
         patterns = [
-            p for s in all_stages if lo <= s.rating_index <= hi for p in s.patterns
+            p for s in all_stages if first <= s.rating_index <= last for p in s.patterns
         ]
         groups[label] = _usage(patterns)
     return KeyVariableReport(per_stage=per_stage, groups=groups)

@@ -290,13 +290,7 @@ def cmd_evaluate(args) -> int:
             "model_worse_share": report.model_worse_share,
             "unclassified_count": report.unclassified_count,
             "mismatches": [
-                {
-                    "country": m.country_id,
-                    "model": m.model_rating,
-                    "observed": m.observed_rating,
-                    "signed_distance": m.signed_distance,
-                    "direction": m.direction,
-                }
+                dict(zip(("country", "model", "observed", "signed_distance", "direction"), m))
                 for m in report.mismatches
             ],
         },

@@ -86,11 +86,10 @@ class MiningConfig:
                 raise DataFormatError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
-def _literal_table(view: BinaryView) -> tuple[list[tuple[str, str, float]], list[int], int]:
-    """Both literals of each cut-point column, >= before <=, as
-    (indicator, direction, threshold) keys; each one's truth over the
-    records as a Python int (bit r is record r); and the positive records
-    as one more such int.
+def _literal_table(view: BinaryView) -> tuple[list[Literal], list[int], int]:
+    """Both literals of each cut-point column, >= before <=; each one's
+    truth over the records as a Python int (bit r is record r); and the
+    positive records as one more such int.
 
     The truth is `view.matrix` for a >=-literal and `view.at_most` for a
     <=-literal, so a missing value holds for neither, as in
@@ -102,8 +101,8 @@ def _literal_table(view: BinaryView) -> tuple[list[tuple[str, str, float]], list
     truth[1:-1:2] = view.at_most.T
     truth[-1] = view.labels
     rows = [int.from_bytes(row, "little") for row in np.packbits(truth, axis=1, bitorder="little")]
-    keys = [(cp.indicator, d, cp.threshold) for cp in view.cutpoints for d in (">=", "<=")]
-    return keys, rows[:-1], rows[-1]
+    literals = [Literal(code, d, t) for code, t in view.cutpoints for d in (">=", "<=")]
+    return literals, rows[:-1], rows[-1]
 
 
 def enumerate_patterns(
@@ -137,9 +136,9 @@ def enumerate_patterns(
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
-    table, truth, positives = _literal_table(view)
-    groups = [key[:2] for key in table]
-    n_literals, max_degree = len(table), config.max_degree
+    literals, truth, positives = _literal_table(view)
+    groups = [lit[:2] for lit in literals]
+    n_literals, max_degree = len(literals), config.max_degree
     # A conjunction is frequent when it covers at least this many positives.
     least = next(
         (c for c in range(1, total_pos + 1) if c / total_pos + _EPS >= config.min_prevalence),
@@ -185,7 +184,6 @@ def enumerate_patterns(
                 for sub in itertools.combinations(entry[0], size)
             )
         ]
-    literals = [Literal(*key) for key in table]
     return [
         Pattern(
             literals=tuple(literals[i] for i in key),
@@ -218,26 +216,27 @@ def select_dnf(
     coverage. A still-unmet target yields a partial DNF with its uncovered
     records flagged.
 
-    Covers are the Python ints of `_literal_table`, built again here, as
-    `enumerate_patterns` returns patterns, not rows: with prime patterns
-    only, the pool is small enough that per-pattern work in Python costs
-    less than per-pick numpy calls. The pool is a heap keyed by gain and the
-    tie order. Gains only shrink, so a stale gain is an upper bound: the top
-    is taken when its gain, recounted, is unchanged, and pushed back
-    otherwise (lazy greedy). Memory beyond enumeration's is one cover of
-    ceil(records / 8) bytes per prime pattern.
+    Covers are the Python ints of `_literal_table`, built again here and
+    looked up by each pattern's literals themselves, as `enumerate_patterns`
+    returns patterns, not rows: with prime patterns only, the pool is small
+    enough that per-pattern work in Python costs less than per-pick numpy
+    calls. The pool is a heap keyed by gain and the tie order. Gains only
+    shrink, so a stale gain is an upper bound: the top is taken when its
+    gain, recounted, is unchanged, and pushed back otherwise (lazy greedy).
+    Memory beyond enumeration's is one cover of ceil(records / 8) bytes per
+    prime pattern.
     """
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest)
-    table, rows, uncovered = _literal_table(view)
-    truth = dict(zip(table, rows))
+    literals, rows, uncovered = _literal_table(view)
+    truth = dict(zip(literals, rows))
     covers = []
     for p in patterns:
         cover = uncovered
         for lit in p.literals:
-            cover &= truth[lit.indicator, lit.direction, lit.threshold]
+            cover &= truth[lit]
         covers.append(cover)
     joining = sorted(range(len(patterns)), key=lambda i: -patterns[i].prevalence)
     joined = 0

@@ -1,10 +1,12 @@
 import hashlib
 import importlib
+import itertools
 import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import make_dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from ladrating import (
     CascadeModel,
     ClassDnf,
     CountryRecord,
+    CutPoint,
     DataFormatError,
     DEFAULT_SCALE,
     Dataset,
@@ -126,14 +129,70 @@ class TestReportFromPairs:
             assert by_country[m.country_id].signed_distance == -m.signed_distance
 
 
+# Thresholds with ties, signed zeros and numpy scalars among them.
+_thresholds = st.builds(
+    lambda t, wrap: np.float64(t) if wrap else t,
+    st.sampled_from((0.0, -0.0, 1.5, -1.5)) | st.floats(allow_nan=False),
+    st.booleans(),
+)
+_codes = st.sampled_from(("G", "EX", "C"))
+
+#: The tuple-based record types, each with its field names, a strategy for
+#: its field values, and whether its dataclass form was ordered.
+TUPLE_TYPES = [
+    (
+        Mismatch,
+        ("country_id", "model_rating", "observed_rating", "signed_distance", "direction"),
+        st.tuples(
+            st.sampled_from(("Ukraine", "Chad")),
+            st.none() | st.sampled_from(("BBBM", "B")),
+            st.sampled_from(("B", "AAA")),
+            st.none() | st.integers(-15, 15),
+            st.none() | st.sampled_from((MODEL_BETTER, MODEL_WORSE)),
+        ),
+        False,
+    ),
+    (CutPoint, ("indicator", "threshold"), st.tuples(_codes, _thresholds), True),
+    (
+        Literal,
+        ("indicator", "direction", "threshold"),
+        st.tuples(_codes, st.sampled_from((">=", "<=")), _thresholds),
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, ordered", TUPLE_TYPES, ids=[t[0].__name__ for t in TUPLE_TYPES]
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_tuple_type_keeps_its_frozen_dataclass_form(cls, names, values, ordered, data):
+    # `repr`, hash, equality and (for the literal types) sort order are those
+    # of the frozen dataclass each type once was; as a tuple subclass it also
+    # unpacks and equals the plain tuple of its fields.
+    twin = make_dataclass(cls.__name__, names, frozen=True, order=ordered)
+    rows = data.draw(st.lists(values, min_size=1, max_size=6))
+    for fields in rows:
+        m = cls(*fields)
+        assert repr(m) == repr(twin(*fields))
+        assert hash(m) == hash(twin(*fields)) == hash(fields)
+        assert m == fields and fields == m and len({m, fields}) == 1
+        first, *_, last = m
+        assert (first, last) == (fields[0], fields[-1])
+        assert tuple(m) == fields and m[1] == getattr(m, names[1])
+    for a, b in itertools.product(rows, repeat=2):
+        assert (cls(*a) == cls(*b)) is (twin(*a) == twin(*b))
+        if ordered:
+            assert (cls(*a) < cls(*b)) is (twin(*a) < twin(*b))
+    if ordered:
+        def order(make):
+            return sorted(range(len(rows)), key=lambda i: make(*rows[i]))
+        assert order(cls) == order(twin)
+
+
 class TestMismatch:
     FIELDS = ("Ukraine", "BBBM", "B", 5, MODEL_BETTER)
-
-    @pytest.mark.parametrize("fields", [FIELDS, ("Chad", None, "B", None, None)])
-    def test_repr_is_the_dataclass_form(self, fields):
-        names = ("country_id", "model_rating", "observed_rating", "signed_distance", "direction")
-        frozen = make_dataclass("Mismatch", names, frozen=True)
-        assert repr(Mismatch(*fields)) == repr(frozen(*fields))
 
     def test_report_rows_are_mismatches(self):
         report = report_from_pairs(MISMATCH_2012_ROWS, DEFAULT_SCALE)
@@ -152,16 +211,6 @@ class TestMismatch:
         with pytest.raises(AttributeError):
             m.country_id = "Ghana"
         assert m.country_id == "Ukraine"
-
-    def test_equality_and_hash(self):
-        m, same = Mismatch(*self.FIELDS), Mismatch(*self.FIELDS)
-        assert m == same and hash(m) == hash(same)
-        assert len({m, same}) == 1
-        assert m != Mismatch("Ukraine", "BBBM", "B", 5, MODEL_WORSE)
-        # A tuple subclass: it unpacks and equals the plain tuple of its fields.
-        country, *_, direction = m
-        assert (country, direction) == ("Ukraine", MODEL_BETTER)
-        assert m == self.FIELDS and hash(m) == hash(self.FIELDS)
 
 
 def _unbuilt(rows):

@@ -34,3 +34,18 @@ def test_replay_published_trees(monkeypatch, capsys):
         assert f"=== {year} ===" in out
     assert out.count("  no-data        -> ") == len(TREE_YEARS)
 
+
+
+def test_src_lines(monkeypatch, capsys):
+    module = load_script("src_lines", monkeypatch)
+    assert module.main() == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "lines", "code"] and total[0] == "total"
+    assert {row[0] for row in rows} >= {"__init__.py", "cascade.py", "cli.py"}
+    for column in (1, 2):
+        assert int(total[column]) == sum(int(row[column]) for row in rows)
+    assert all(0 < int(code) < int(lines) for _, lines, code in rows)
+    # A docstring, a comment and a blank line are not code; a multi-line
+    # expression counts every line it spans.
+    source = '"""Doc.\n\nMore."""\n# note\n\nx = (\n    1,\n)\n\n\ndef f():\n    """Doc."""\n    return x\n'
+    assert module.count(source) == (13, 5)
