@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from itertools import chain, groupby, zip_longest
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._numpy import np
 from .binarize import Literal, StageRecords, all_candidate_cutpoints, binarize, minimize_cutpoints
@@ -30,14 +32,32 @@ from .treetext import parse_tree_text, render_tree_text
 
 TOOL_VERSION = "0.1.0"
 
-#: Rows per block in `first_match`. A block's bool arrays take about
-#: `_BLOCK_ROWS` x (entries + distinct literals) bytes: on the published
-#: trees (at most 56 entries and 136 distinct literals) about 1.9 MB at
-#: 10,000 rows and 3.1 MB for a full block. Its Python loop runs once per
-#: entry and literal of every block, so small blocks are slow.
+#: Rows per block in `first_match`. A block's bool arrays peak at
+#: `_BLOCK_ROWS` x (distinct literals + 1 + 2 x entries) bytes: on the
+#: published trees (at most 56 entries and 136 distinct literals) about
+#: 2.5 MB at 10,000 rows and 4.1 MB for a full block. Its Python loop runs
+#: once per `(code, direction)` and literal slot of every block, so small
+#: blocks are slow.
 _BLOCK_ROWS = 16384
 
 _NAN = math.nan
+_GROUP = itemgetter(0, 1)  # a literal's (indicator, direction)
+
+
+class _FirstMatchPlan(NamedTuple):
+    """A first-match table as `first_match` runs it (see
+    `CascadeModel._first_match_plan`)."""
+
+    #: Per `(code, direction)`: the code, `np.greater_equal` or
+    #: `np.less_equal`, its literals' rows of the truth matrix, and their
+    #: thresholds as a column.
+    compares: tuple[tuple[str, np.ufunc, slice, np.ndarray], ...]
+    #: Rows of the truth matrix: one per distinct literal, then one that is
+    #: all-true.
+    truth_rows: int
+    #: W x entries, W the most literals of any entry: the truth rows whose
+    #: AND is each entry's, padded with the all-true row.
+    slots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,6 +117,27 @@ class CascadeModel:
         before the first entry that tests it. Built on the first
         `classify`, once per model (see `_compile_first_match`)."""
         return _compile_first_match(self._first_match)
+
+    @cached_property
+    def _first_match_plan(self) -> _FirstMatchPlan:
+        """`_first_match` as arrays for `first_match`: each distinct literal
+        is one row of a truth matrix, the rows of one `(code, direction)`
+        grouped, and `slots` holds each entry's literal rows. Built on the
+        first `first_match`, once per model."""
+        table = self._first_match
+        distinct = sorted(dict.fromkeys(chain.from_iterable(lits for _, lits in table)), key=_GROUP)
+        row = dict(zip(distinct, range(len(distinct))))
+        thresholds = np.array([lit.threshold for lit in distinct], dtype=np.float64)[:, None]
+        compares, start = [], 0
+        for (code, direction), group in groupby(distinct, _GROUP):
+            rows = slice(start, start + len(tuple(group)))
+            compare = np.greater_equal if direction == ">=" else np.less_equal
+            compares.append((code, compare, rows, thresholds[rows]))
+            start = rows.stop
+        true = len(distinct)
+        entries = (list(map(row.__getitem__, lits)) or [true] for _, lits in table)
+        slots = np.array(list(zip_longest(*entries, fillvalue=true)), dtype=np.intp)
+        return _FirstMatchPlan(tuple(compares), true + 1, slots)
 
     def __getstate__(self):
         # A generated function does not pickle; a copy compiles its own.
@@ -257,44 +298,41 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
 def first_match(model: CascadeModel, codes: Sequence[str], values: np.ndarray) -> np.ndarray:
     """Index into `model._first_match` of each row's first matching entry.
 
-    `values` is a float matrix in any layout, one row per record and one
+    `values` is a float64 matrix in any layout, one row per record and one
     column per code of `codes`, NaN for a missing value (as `value_matrix`
     builds it); a column-major one (`Dataset.labeled_arrays`) reads each
-    column contiguously. Per block of `_BLOCK_ROWS` rows, each distinct
-    literal of the table becomes one boolean column on first use
-    (`_check_truth`), and row e of an entries x rows matrix is the AND of
-    entry e's literal columns. The fallback entry has no literals, so its
-    row stays all-true and every row matches one. Besides `values`, a block
-    holds about `_BLOCK_ROWS` x (entries + distinct literals) bytes.
+    column contiguously. It runs the model's plan
+    (`CascadeModel._first_match_plan`) per block of `_BLOCK_ROWS` rows:
+    one broadcast compare per `(code, direction)` fills every literal's row
+    of a literals x rows truth matrix, where NaN, and a code the matrix
+    lacks, hold for none, and its last row is all-true; then the AND of W
+    row gathers of it, one per literal slot, gives the entries x rows
+    matrix, and each row's result is its column's `argmax`, the first entry
+    that holds. The fallback entry's slots are all the all-true row, so
+    every row matches one. Besides `values`, a block holds about
+    `_BLOCK_ROWS` x (distinct literals + 1 + 2 x entries) bytes.
 
     `values` is only read, and rows keep their order, which is the record
     order that `evaluate`'s mismatch rows fall back on when they tie.
     """
-    table = model._first_match
+    plan = model._first_match_plan
     column_of = {code: j for j, code in enumerate(codes)}
+    compares = [(column_of.get(code), compare, rows, t) for code, compare, rows, t in plan.compares]
     index = np.empty(len(values), dtype=np.intp)
     for start in range(0, len(values), _BLOCK_ROWS):
         block = values[start:start + _BLOCK_ROWS]
-        truth: dict[Literal, np.ndarray] = {}
-        matches = np.ones((len(table), len(block)), dtype=bool)
-        for row, (_, literals) in zip(matches, table):
-            for lit in literals:
-                held = truth.get(lit)
-                if held is None:
-                    held = truth[lit] = _check_truth(block, column_of.get(lit.indicator), lit)
-                row &= held
+        truth = np.empty((plan.truth_rows, len(block)), dtype=bool)
+        truth[-1] = True
+        for column, compare, rows, t in compares:
+            if column is None:
+                truth[rows] = False
+            else:
+                compare(block[:, column], t, out=truth[rows])
+        matches = truth[plan.slots[0]]
+        for slot in plan.slots[1:]:
+            matches &= truth[slot]
         index[start:start + len(block)] = matches.argmax(axis=0)
     return index
-
-
-def _check_truth(block: np.ndarray, column: Optional[int], lit: Literal) -> np.ndarray:
-    """Where `lit` holds on `block[:, column]`: the one compare of
-    `_compare`, which NaN fails. No column (a code the matrix lacks) holds
-    nowhere."""
-    if column is None:
-        return np.zeros(len(block), dtype=bool)
-    x = block[:, column]
-    return x >= lit.threshold if lit.direction == ">=" else x <= lit.threshold
 
 
 def import_decision_tree(

@@ -28,6 +28,7 @@ from ladrating import (
     Pattern,
     RatingScale,
     classify,
+    evaluate,
     export_decision_tree,
     first_match,
     import_decision_tree,
@@ -611,33 +612,95 @@ class TestFirstMatch:
         assert indices[1] == indices[0] and indices[2] == indices[0]
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_shared_and_repeated_checks(self, monkeypatch, policy):
+    def test_shared_and_repeated_checks(self, policy):
         # G >= 1 is shared by two entries and repeated inside the first;
-        # G <= 2 is another check on the same code, and C >= 2 one on a code
-        # the matrix lacks. Each distinct check is computed once per block.
+        # G <= 2 is another literal on the same code, and C >= 2 and C <= 0
+        # are on a code the matrix lacks. Each distinct literal is one row
+        # of a block's truth matrix, compared once per block, by one compare
+        # per (code, direction) the matrix has.
         lit = Literal
-        ge1, le2 = lit("G", ">=", 1.0), lit("G", "<=", 2.0)
+        ge1, le2, ge3 = lit("G", ">=", 1.0), lit("G", "<=", 2.0), lit("G", ">=", 3.0)
         model = CascadeModel(RatingScale(SMALL_CLASSES, fallback_policy=policy), 2012, (
             ClassDnf(1, (Pattern((ge1, lit("EX", "<=", 0.0), ge1)),)),
-            ClassDnf(2, (Pattern((le2, lit("C", ">=", 2.0))), Pattern((ge1, le2)))),
-            ClassDnf(3, (Pattern((le2,)),)),
+            ClassDnf(2, (Pattern((le2, lit("C", ">=", 2.0))), Pattern((ge1, le2, ge3)))),
+            ClassDnf(3, (Pattern((le2, lit("C", "<=", 0.0))),)),
         ), tail=ClassDnf(4, (Pattern((ge1,)),)))
+        distinct = {check for _, entry in model._first_match for check in entry}
+        plan = model._first_match_plan
+        row_literal = {}
+        for code, compare, rows, t in plan.compares:
+            direction = {np.greater_equal: ">=", np.less_equal: "<="}[compare]
+            row_literal.update(zip(range(rows.start, rows.stop), (lit(code, direction, x) for x in t[:, 0])))
+        assert sorted(row_literal) == list(range(len(distinct))) and plan.truth_rows == len(distinct) + 1
+        assert set(row_literal.values()) == distinct
+        assert len(plan.compares) == len({(c, d) for c, d, _ in distinct})
+        all_true = plan.truth_rows - 1
+        assert plan.slots.shape == (3, len(model._first_match))
+        for (_, entry), slots in zip(model._first_match, plan.slots.T.tolist()):
+            assert [row_literal[r] for r in slots[:len(entry)]] == list(entry)
+            assert slots[len(entry):] == [all_true] * (3 - len(entry))
+        compared = []
+
+        def counted(code, compare):
+            def run(x, t, out):
+                compared.append((code, compare, out.base.shape, tuple(t[:, 0])))
+                return compare(x, t, out=out)
+            return run
+
+        compares = [(c, counted(c, f), rows, t) for c, f, rows, t in plan.compares]
+        model.__dict__["_first_match_plan"] = plan._replace(compares=tuple(compares))
         grid = itertools.product((NAN, 0.0, 1.0, 2.0, 3.0), (NAN, -1.0, 0.0, 1.0))
         probes = [rec(f"g{i}", {"G": g, "EX": ex}) for i, (g, ex) in enumerate(grid)]
         codes = ["EX", "G"]
-        computed = []
-        check_truth = cascade_module._check_truth
-        monkeypatch.setattr(
-            cascade_module, "_check_truth", lambda *a: computed.append(a[2]) or check_truth(*a)
-        )
-        monkeypatch.setattr(cascade_module, "_BLOCK_ROWS", 7)
-        index = first_match(model, codes, value_matrix(probes, codes))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cascade_module, "_BLOCK_ROWS", 7)
+            index = first_match(model, codes, value_matrix(probes, codes))
         names = _entry_names(model)
         assert [names[i] for i in index.tolist()] == [_first_match_name(model, r) for r in probes]
-        distinct = {check for _, entry in model._first_match for check in entry}
-        blocks = math.ceil(len(probes) / 7)
-        assert len(computed) == blocks * len(distinct)
-        assert set(computed) == distinct
+        sizes = [min(7, len(probes) - start) for start in range(0, len(probes), 7)]
+        groups = [(c, f, t) for c, f, _, t in plan.compares if c in codes]
+        assert compared == [
+            (c, f, (plan.truth_rows, size), tuple(t[:, 0])) for size in sizes for c, f, t in groups
+        ]
+        # Per block, the literals compared are the distinct ones on the
+        # matrix's codes, each once: the four on G and EX, not C's two.
+        per_block = [lit(c, ">=" if f is np.greater_equal else "<=", x) for c, f, t in groups for x in t[:, 0]]
+        assert sorted(per_block) == sorted(x for x in distinct if x.indicator in codes)
+        assert len(per_block) == 4
+
+    @given(
+        hand_built_models(pattern_lists_of(edge_literals)),
+        st.sampled_from((0, 1, 7, 150)),
+        st.sampled_from(("C", "F", "strided")),
+        st.sampled_from((1, 3, cascade_module._BLOCK_ROWS)),
+        st.permutations(CODES),
+        st.integers(0, len(CODES)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_gets_the_compiled_index(self, model, n, layout, block_rows, order, width, rng):
+        # Values on, next to and off each threshold, NaN, ±inf and missing,
+        # over some of the codes in any order, in any layout and block size.
+        cuts = [float(lit.threshold) for _, entry in model._first_match for lit in entry]
+        pool = [v for t in cuts for v in (t, math.nextafter(t, -INF), math.nextafter(t, INF))]
+        pool += [NAN, INF, -INF, 0.0, -1.0, 1.0]
+        codes = order[:width]
+        probes = [
+            rec(f"p{i}", {c: rng.choice(pool) for c in codes if rng.random() < 0.9}) for i in range(n)
+        ]
+        values = value_matrix(probes, codes)
+        if layout == "F":
+            values = np.asfortranarray(values)
+        elif layout == "strided":
+            wide = np.full((2 * n, 3 * len(codes)), 7.0)
+            wide[1::2, 2::3] = values
+            values = wide[1::2, 2::3]
+        for policy in POLICIES:
+            other = _with_policy(model, policy)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cascade_module, "_BLOCK_ROWS", block_rows)
+                index = first_match(other, codes, values).tolist()
+            assert index == [other._first_match_index(r.values.get) for r in probes]
 
 
 class TestCompiledTable:
@@ -755,6 +818,21 @@ class TestCompiledTable:
         again = duplicate(model)
         assert again == model
         assert [classify(again, r) for r in probes] == before
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy, replace],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_evaluated_model_still_copies(self, duplicate):
+        model = import_decision_tree(tree_text(2013), DEFAULT_SCALE, 2013, strict=False)
+        dataset = published_tree_dataset(2012, seed=0)
+        before = evaluate(model, dataset)
+        assert "_first_match_plan" in vars(model)
+        again = duplicate(model)
+        assert again == model
+        assert evaluate(again, dataset) == before
+        assert evaluate(model, dataset) == before
 
     def test_import_and_training_compile_nothing(self, monkeypatch):
         tables = []
