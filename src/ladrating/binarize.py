@@ -10,10 +10,11 @@ false (the condition cannot be certified).
 from __future__ import annotations
 
 import copy
+import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .data import CountryRecord, format_value, value_matrix
@@ -128,7 +129,8 @@ def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     values above about 8.9e307), where it is `a / 2 + b / 2`: halving is
     exact there, so that is the same midpoint, rounded once. Between two
     adjacent floats the midpoint rounds onto one of them; it is then `b`,
-    so that `>= midpoint` still holds for `b` and not for `a`."""
+    so that `>= midpoint` still holds for `b` and not for `a`. Between -inf
+    and inf there is none (their sum is NaN), and it is `b` too."""
     order = np.argsort(column)  # NaN sorts last
     present = order[: len(order) - int(np.isnan(column).sum())]
     values = column[present]
@@ -137,7 +139,7 @@ def _presorted(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts = np.flatnonzero(is_start)
     runs = values[starts]
     low, high = runs[:-1], runs[1:]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         midpoints = (low + high) / 2.0
     over = np.isinf(midpoints)  # an infinite run gives the same either way
     midpoints[over] = low[over] / 2.0 + high[over] / 2.0
@@ -208,8 +210,7 @@ def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryVi
     )
 
 
-#: Byte budget of one block of pair rows: XORed packed rows while pairs are
-#: checked and built, unpacked bool rows while cover gains are counted.
+#: Byte budget of one block of pair intervals while repeats are checked.
 _BLOCK_BYTES = 1 << 24
 
 #: Search nodes `_exact_cover` may visit (about 0.5 s of search) before it
@@ -236,80 +237,79 @@ def minimize_cutpoints(
     uncovered pairs, ties to the earlier candidate in sorted order). The
     exact search is seeded with the greedy cover and stops after
     `_EXACT_NODE_BUDGET` nodes; a cover returned then is never larger than
-    greedy's but may not be minimal.
+    greedy's but may not be minimal. A candidate with a NaN threshold holds
+    for no record, so it is dropped first.
 
-    Pairs are deduped without building a row per pair. Each record's bit
-    row gets a 64-bit hash, the XOR of one pseudo-random word per candidate
-    (`_hash_words`) over its true columns. The hash is linear over XOR, so a
-    pair's row hashes to the XOR of its two records' hashes: one outer XOR
-    over positives x negatives. One sort of the pair hashes groups the
-    pairs, and only each group's first-seen pair gets a packed row. Pairs
-    with different hashes have different rows, and every other pair of a
-    group is compared byte for byte with the pair before it in the group,
-    so the result is exact; a mismatch (a 64-bit collision) starts over with
-    the words of the next seed. A pair hashing to 0 is inseparable exactly
-    when its two records' rows are equal, which is checked directly.
+    Sorted by threshold, an indicator's >=-literals hold on a prefix of its
+    candidates, as long as the record's rank. So a pair's separating
+    candidates on one indicator are the interval [lo, hi) between its two
+    records' ranks, as candidate indices; an empty one is stored as [0, 0).
+    A candidate's greedy gain is how many uncovered distinct pairs have it
+    inside an interval: one difference array over the `lo` and `hi` bounds.
 
-    The greedy cover's first gains are counted without unpacking the
-    distinct rows. Over all pairs, a candidate true on `p` of the positives
-    and `q` of the negatives separates `p (negatives - q) + (positives - p)
-    q` of them; the rows of each group's repeats, built anyway to compare
-    them, are counted and subtracted. The rows of a group are equal, so
-    what is left counts each distinct row once.
+    Pairs are deduped without building intervals for every pair. Each
+    record gets a 64-bit hash, the XOR of one pseudo-random word per
+    candidate (`_hash_words`) over its true columns: per indicator, a
+    prefix XOR up to its rank. The hash is linear over XOR, so a pair's
+    separating set hashes to the XOR of its two records' hashes: one outer
+    XOR over positives x negatives. One sort of the pair hashes groups the
+    pairs, and only each group's first-seen pair is kept. Pairs with
+    different hashes have different intervals, and every other pair of a
+    group is compared with the pair before it in the group, so the result
+    is exact; a mismatch (a 64-bit collision) starts over with the words of
+    the next seed. A pair hashing to 0 is inseparable exactly when its two
+    records' ranks are equal, which is checked directly.
 
     Memory is about 16 bytes per pair (24 for a moment while the hashes
-    are sorted), plus the distinct packed rows, ceil(candidates / 64) x 8
-    bytes each, plus blocks of about `_BLOCK_BYTES` while rows are built,
-    compared and counted.
+    are sorted), plus 8 bytes per indicator per distinct pair, plus blocks
+    of about `_BLOCK_BYTES` while repeats are compared.
 
     Raises ContradictionError when some opposite-class pair is separated by
     no candidate at all; its `pairs` lists every such pair, positive-major.
     """
-    candidates = sorted(candidates)
+    candidates = sorted(cp for cp in candidates if not math.isnan(cp.threshold))
     view = binarize(records, candidates)
     pos = np.flatnonzero(view.labels)
     neg = np.flatnonzero(~view.labels)
-    pairs, gains = _distinct_pairs(view, pos, neg)
-    if pairs.shape[0] == 0:
+    lo, hi = _distinct_pairs(view, pos, neg)
+    n_pairs = lo.shape[1]
+    if n_pairs == 0:
         return []
-    chosen = _greedy_cover(pairs, gains)
-    if pairs.shape[0] * len(candidates) <= exact_cell_limit:
-        masks = _column_masks(pairs, len(candidates))
-        chosen = _exact_cover(masks, (1 << pairs.shape[0]) - 1, chosen)
+    chosen = _greedy_cover(lo, hi, len(candidates))
+    if n_pairs * len(candidates) <= exact_cell_limit:
+        covers = _covers(lo, hi, np.arange(len(candidates))[:, None, None])
+        masks = [
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(covers, axis=1, bitorder="little")
+        ]
+        chosen = _exact_cover(masks, (1 << n_pairs) - 1, chosen)
     return sorted(candidates[c] for c in chosen)
 
 
 def _distinct_pairs(
     view: BinaryView, pos: np.ndarray, neg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct packed XOR rows of all (positive, negative) pairs, in
-    first-seen positive-major order, and per candidate how many of them it
-    covers.
+    """The `lo` and `hi` bounds (indicators x distinct pairs) of the
+    distinct (positive, negative) pairs, in first-seen positive-major order.
 
-    Raises ContradictionError when some rows are all zero.
+    Raises ContradictionError when some pairs have only empty intervals.
     """
-    n_records, n_columns = view.matrix.shape
-    width = -(-n_columns // 8)
-    # The rows packed into zero-padded 64-bit words, cheaper to XOR and
-    # compare; one flat `packbits` over whole words is also cheaper than
-    # packing along rows.
-    words = -(-n_columns // 64)
-    bits = np.zeros((n_records, words * 64), dtype=bool)
-    bits[:, :n_columns] = view.matrix
-    packed64 = np.packbits(bits).view(np.uint64).reshape(n_records, words)
+    codes = [cp.indicator for cp in view.cutpoints]
+    first = np.array([codes.index(code) for code in dict.fromkeys(codes)], dtype=np.int32)
+    # Per indicator and record, the candidate index past its true prefix.
+    # Indicator-major, so reductions over indicators are row operations.
+    ends = np.add.reduceat(view.matrix, first, axis=1, dtype=np.int32) + first
+    ends = np.ascontiguousarray(ends.T)
     if not len(pos) or not len(neg):
-        return packed64.view(np.uint8)[:0, :width], np.zeros(n_columns, dtype=np.int64)
-    pos_true = view.matrix[pos].sum(axis=0, dtype=np.int64)
-    neg_true = view.matrix[neg].sum(axis=0, dtype=np.int64)
-    all_pairs = pos_true * (len(neg) - neg_true) + (len(pos) - pos_true) * neg_true
+        return ends[:, :0], ends[:, :0]
     seed = 0
     while True:
-        record_hash = _record_hashes(view.matrix, seed)
+        record_hash = _record_hashes(ends, first, view.matrix.shape[1], seed)
         pair_hash = (record_hash[pos, None] ^ record_hash[None, neg]).ravel()
-        # An all-zero row hashes to 0 under every seed, so confirming the
-        # pairs that hash to 0 finds every inseparable pair.
+        # Equal ranks hash to 0 under every seed, so confirming the pairs
+        # that hash to 0 finds every inseparable pair.
         zero = np.flatnonzero(pair_hash == 0)
-        bad = zero[np.bitwise_or.reduce(_pair_rows(packed64, pos, neg, zero), axis=1) == 0]
+        bad = zero[~_pair_intervals(ends, pos, neg, zero)[1].any(axis=0)]
         if len(bad):
             ids = view.record_ids
             bad_pairs = [
@@ -324,11 +324,9 @@ def _distinct_pairs(
         pair_hash = pair_hash[order]
         is_start = np.r_[True, pair_hash[1:] != pair_hash[:-1]]
         del pair_hash
-        repeats = _repeat_counts(packed64, pos, neg, order, is_start, n_columns)
-        if repeats is not None:
-            first = np.minimum.reduceat(order, np.flatnonzero(is_start))
-            rows = _pair_rows(packed64, pos, neg, np.sort(first)).view(np.uint8)[:, :width]
-            return rows, all_pairs - repeats
+        if _repeats_match(ends, pos, neg, order, is_start):
+            kept = np.minimum.reduceat(order, np.flatnonzero(is_start))
+            return _pair_intervals(ends, pos, neg, np.sort(kept))
         seed += 1
 
 
@@ -337,106 +335,70 @@ def _hash_words(n_columns: int, seed: int) -> np.ndarray:
     return np.frombuffer(random.Random(seed).randbytes(8 * n_columns), dtype=np.uint64)
 
 
-def _record_hashes(matrix: np.ndarray, seed: int) -> np.ndarray:
-    """Per bit row, the XOR of its true columns' `_hash_words`."""
-    words = _hash_words(matrix.shape[1], seed)
-    return np.bitwise_xor.reduce(np.where(matrix, words, np.uint64(0)), axis=1)
-
-
-def _pair_rows(
-    packed64: np.ndarray, pos: np.ndarray, neg: np.ndarray, flat: np.ndarray
+def _record_hashes(
+    ends: np.ndarray, first: np.ndarray, n_columns: int, seed: int
 ) -> np.ndarray:
-    """The XOR rows of the pairs at flat positive-major indices `flat`."""
-    rows = np.empty((len(flat), packed64.shape[1]), dtype=packed64.dtype)
-    for block in _blocks(len(flat), packed64):
-        i = flat[block] // len(neg)
-        j = flat[block] - i * len(neg)
-        rows[block] = np.take(packed64, pos[i], axis=0)
-        rows[block] ^= np.take(packed64, neg[j], axis=0)
-    return rows
+    """Per record, the XOR of its true columns' `_hash_words`: per
+    indicator, the XOR of the words from `first` up to `ends`, as a
+    difference of prefix XORs."""
+    prefix = np.zeros(n_columns + 1, dtype=np.uint64)
+    prefix[1:] = np.bitwise_xor.accumulate(_hash_words(n_columns, seed))
+    return np.bitwise_xor.reduce(prefix[ends] ^ prefix[first, None], axis=0)
 
 
-def _blocks(n_pairs: int, packed64: np.ndarray) -> Iterator[slice]:
-    """Slices over `n_pairs` pairs, about `_BLOCK_BYTES` of XOR rows each."""
-    step = max(1, _BLOCK_BYTES // max(1, packed64.shape[1] * packed64.itemsize))
-    return (slice(start, start + step) for start in range(0, n_pairs, step))
+def _pair_intervals(
+    ends: np.ndarray, pos: np.ndarray, neg: np.ndarray, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `lo` and `hi` bounds of the pairs at flat positive-major indices
+    `flat`, with every empty interval as [0, 0)."""
+    i = flat // len(neg)
+    j = flat - i * len(neg)
+    a, b = np.take(ends, pos[i], axis=1), np.take(ends, neg[j], axis=1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    empty = lo == hi
+    lo[empty] = 0
+    hi[empty] = 0
+    return lo, hi
 
 
-def _repeat_counts(
-    packed64: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    order: np.ndarray,
-    is_start: np.ndarray,
-    n_columns: int,
-) -> Optional[np.ndarray]:
-    """Per candidate, how many pairs of `order` that do not start a hash
-    group it covers; None when one of them has another row than the pair
-    before it, so that some group holds two rows."""
-    counts = np.zeros(n_columns, dtype=np.int64)
-    for block in _blocks(len(order), packed64):
-        at = block.start + np.flatnonzero(~is_start[block])
-        rows = _pair_rows(packed64, pos, neg, order[at])
-        if (rows != _pair_rows(packed64, pos, neg, order[at - 1])).any():
-            return None
-        counts += _column_counts(rows.view(np.uint8), np.ones(len(rows), dtype=bool), n_columns)
-    return counts
+def _repeats_match(
+    ends: np.ndarray, pos: np.ndarray, neg: np.ndarray, order: np.ndarray, is_start: np.ndarray
+) -> bool:
+    """Whether every pair of `order` that does not start a hash group has the
+    intervals of the pair before it, so that each group holds one set."""
+    step = max(1, _BLOCK_BYTES // max(1, 2 * ends.shape[0] * ends.itemsize))
+    for start in range(0, len(order), step):
+        at = start + np.flatnonzero(~is_start[start : start + step])
+        lo, hi = _pair_intervals(ends, pos, neg, order[at])
+        before_lo, before_hi = _pair_intervals(ends, pos, neg, order[at - 1])
+        if (lo != before_lo).any() or (hi != before_hi).any():
+            return False
+    return True
 
 
-def _column_counts(pairs: np.ndarray, rows: np.ndarray, n_columns: int) -> np.ndarray:
-    """Per candidate, how many of the selected packed rows it covers."""
-    counts = np.zeros(n_columns, dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // max(1, n_columns))
-    for start in range(0, pairs.shape[0], step):
-        block = pairs[start : start + step][rows[start : start + step]]
-        bits = np.unpackbits(block, axis=1, count=n_columns)
-        # uint8 sums over runs of 255 rows cannot overflow and are several
-        # times cheaper than summing every row into int64.
-        runs = bits.shape[0] // 255
-        head = bits[: runs * 255].reshape(runs, 255, n_columns).sum(axis=1, dtype=np.uint8)
-        counts += head.sum(axis=0, dtype=np.int64)
-        counts += bits[runs * 255 :].sum(axis=0, dtype=np.int64)
-    return counts
+def _covers(lo: np.ndarray, hi: np.ndarray, c) -> np.ndarray:
+    """Per pair, whether candidate `c` lies inside one of its intervals; `c`
+    is an index, or an array of them shaped (candidates, 1, 1)."""
+    return ((lo <= c) & (c < hi)).any(axis=-2)
 
 
-def _column(pairs: np.ndarray, c: int) -> np.ndarray:
-    """Bool column `c` of a packed matrix (packbits' big bit order)."""
-    return ((pairs[:, c >> 3] >> (7 - (c & 7))) & 1).astype(bool)
+def _gains(lo: np.ndarray, hi: np.ndarray, n_columns: int) -> np.ndarray:
+    """Per candidate, how many pairs it covers: the intervals opened minus
+    those closed up to it."""
+    opened = np.bincount(lo.ravel(), minlength=n_columns + 1)
+    closed = np.bincount(hi.ravel(), minlength=n_columns + 1)
+    return np.cumsum(opened - closed)[:n_columns]
 
 
-def _greedy_cover(pairs: np.ndarray, gains: np.ndarray) -> list[int]:
-    """Greedy set cover: most uncovered pairs, ties to the earlier candidate.
-
-    `gains` holds, per candidate, how many rows of `pairs` it covers.
-    """
-    gains = np.array(gains, dtype=np.int64)
-    n_columns = len(gains)
-    uncovered = np.ones(pairs.shape[0], dtype=bool)
-    left = pairs.shape[0]
+def _greedy_cover(lo: np.ndarray, hi: np.ndarray, n_columns: int) -> list[int]:
+    """Greedy set cover: most uncovered pairs, ties to the earlier candidate."""
     chosen: list[int] = []
-    while left:
-        best = int(np.argmax(gains))
-        hit = uncovered & _column(pairs, best)
-        uncovered &= ~hit
-        n_hit = int(hit.sum())
-        left -= n_hit
+    while lo.shape[1]:
+        best = int(np.argmax(_gains(lo, hi, n_columns)))
         chosen.append(best)
-        # Gains over the still uncovered rows: subtract the newly covered
-        # ones, or count the remaining ones afresh when they are fewer.
-        if n_hit <= left:
-            gains -= _column_counts(pairs, hit, n_columns)
-        else:
-            gains = _column_counts(pairs, uncovered, n_columns)
+        left = ~_covers(lo, hi, best)
+        lo, hi = np.compress(left, lo, axis=1), np.compress(left, hi, axis=1)
     return chosen
-
-
-def _column_masks(pairs: np.ndarray, n_columns: int) -> list[int]:
-    """Per candidate, the pairs it covers as a Python-int bitmask; bit i is
-    the i-th distinct pair."""
-    return [
-        int.from_bytes(np.packbits(_column(pairs, c), bitorder="little").tobytes(), "little")
-        for c in range(n_columns)
-    ]
 
 
 def _exact_cover(masks: list[int], full: int, best: list[int]) -> list[int]:

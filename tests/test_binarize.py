@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
@@ -310,24 +310,31 @@ def _reference_rows(view, pos, neg):
     return pairs[np.argsort(rank)]
 
 
-def _hashed_rows(view, pos, neg):
-    """`_distinct_pairs`' rows, without its gains."""
-    return importlib.import_module("ladrating.binarize")._distinct_pairs(view, pos, neg)[0]
+def _interval_rows(view, pos, neg):
+    """`_distinct_pairs`' intervals as packed bit rows over the sorted
+    candidates, after checking that every empty interval is [0, 0)."""
+    lo, hi = importlib.import_module("ladrating.binarize")._distinct_pairs(view, pos, neg)
+    assert lo.shape == hi.shape == (len({cp.indicator for cp in view.cutpoints}), lo.shape[1])
+    assert ((lo < hi) | ((lo == 0) & (hi == 0))).all()
+    bits = np.zeros((lo.shape[1], len(view.cutpoints)), dtype=bool)
+    for k in range(lo.shape[1]):
+        for a, b in zip(lo[:, k], hi[:, k]):
+            bits[k, a:b] = True
+    return np.packbits(bits, axis=1)
 
 
 def _gains(records, candidates):
-    """`_distinct_pairs`' gains and `_column_counts` over the reference's
-    distinct rows, or None for a contradiction."""
+    """`_gains` over `_distinct_pairs`' intervals and the plain column sums
+    of the reference's distinct rows, or None for a contradiction."""
     module = importlib.import_module("ladrating.binarize")
     view = binarize(records, sorted(candidates))
     pos, neg = np.flatnonzero(view.labels), np.flatnonzero(~view.labels)
     try:
-        _, gains = module._distinct_pairs(view, pos, neg)
+        lo, hi = module._distinct_pairs(view, pos, neg)
     except ContradictionError:
         return None
-    rows = _reference_rows(view, pos, neg)
-    every = np.ones(len(rows), dtype=bool)
-    return gains.tolist(), module._column_counts(rows, every, len(candidates)).tolist()
+    rows = np.unpackbits(_reference_rows(view, pos, neg), axis=1, count=len(candidates))
+    return module._gains(lo, hi, len(candidates)).tolist(), rows.sum(axis=0).tolist()
 
 
 CODES = ("G", "EX", "U")
@@ -385,6 +392,35 @@ def pair_problems(draw):
     if draw(st.integers(0, 7)) == 0:
         candidates = []
     return records, candidates
+
+
+# 400 distinct pairs, every one separated by G >= 0.5: a gain counted in
+# 8 bits would wrap there.
+WIDE_PAIRS = (
+    [(rec({"G": 1.0, "U": 2.0 * i}, country=f"p{i}"), True) for i in range(20)]
+    + [(rec({"G": 0.0, "U": 2.0 * i + 1}, country=f"n{i}"), False) for i in range(20)],
+    [CutPoint("G", 0.5)] + [CutPoint("U", k + 0.5) for k in range(39)],
+)
+
+
+@st.composite
+def edge_problems(draw):
+    """Records that may hold +-inf, and candidates that may have +-inf
+    thresholds, with some candidates repeated."""
+    value = st.one_of(st.integers(0, 6).map(float), st.sampled_from([-math.inf, math.inf]))
+    threshold = st.one_of(
+        st.integers(0, 13).map(lambda t: t / 2), st.sampled_from([-math.inf, math.inf])
+    )
+    rows = draw(
+        st.lists(
+            st.tuples(st.fixed_dictionaries({}, optional={c: value for c in CODES}), st.booleans()),
+            max_size=10,
+        )
+    )
+    candidates = draw(st.lists(st.builds(CutPoint, st.sampled_from(CODES), threshold), max_size=10))
+    if candidates:
+        candidates += draw(st.lists(st.sampled_from(candidates), max_size=4))
+    return [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)], candidates
 
 
 @st.composite
@@ -495,6 +531,12 @@ class TestCandidates:
             records = labeled([(low, low_positive), (high, not low_positive)])
             assert all_candidate_cutpoints(records, ["G"]) == [CutPoint("G", high)]
 
+    def test_no_midpoint_between_infinities(self):
+        # -inf + inf is NaN, with no warning; the cut is the upper value.
+        for low_positive in (False, True):
+            records = labeled([(-math.inf, low_positive), (math.inf, not low_positive)])
+            assert all_candidate_cutpoints(records, ["G"]) == [CutPoint("G", math.inf)]
+
     def test_single_class_yields_nothing(self):
         assert all_candidate_cutpoints(labeled([(1, True), (2, True), (3, True)]), ["G"]) == []
 
@@ -598,6 +640,29 @@ class TestMinimize:
                 minimize_cutpoints, candidates, records, exact_cell_limit=limit
             ) == _outcome(_reference_minimize, candidates, records, exact_cell_limit=limit)
 
+    @given(edge_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_infinities_and_repeats_match_reference_minimizer(self, problem):
+        records, candidates = problem
+        for limit in (2000, 0, 10**6):
+            assert _outcome(
+                minimize_cutpoints, candidates, records, exact_cell_limit=limit
+            ) == _outcome(_reference_minimize, candidates, records, exact_cell_limit=limit)
+
+    @given(labeled_records, cutpoint_lists, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nan_thresholds_change_nothing(self, records, candidates, data):
+        # A NaN threshold holds for no record; inserted anywhere, it must not
+        # upset the order the other candidates are sorted in.
+        nan = st.builds(CutPoint, st.sampled_from(CODES + ("IM",)), st.just(math.nan))
+        mixed = list(candidates)
+        for cp in data.draw(st.lists(nan, min_size=1, max_size=4)):
+            mixed.insert(data.draw(st.integers(0, len(mixed))), cp)
+        for limit in (2000, 0):
+            assert _outcome(
+                minimize_cutpoints, mixed, records, exact_cell_limit=limit
+            ) == _outcome(minimize_cutpoints, candidates, records, exact_cell_limit=limit)
+
     def test_exact_cover_follows_first_seen_pair_order(self):
         # Two optimal covers exist and greedy finds neither; branching on the
         # earliest uncovered pair in first-seen order picks the reference's.
@@ -631,8 +696,7 @@ class TestMinimize:
     def test_blocks_of_one_positive_row(self, monkeypatch):
         rng = random.Random(7)
         instances = [self._random_instance(rng, n_records=12) for _ in range(20)]
-        # Two contradictory pairs that fall in different blocks of the check
-        # of pairs hashing to 0 (one pair per block here).
+        # Two contradictory pairs, both reported whatever the block size.
         clash = labeled([(1, True), (5, True), (1, False), (5, False), (3, False)])
         instances.append((clash, [CutPoint("G", 2.0), CutPoint("G", 4.0)]))
         module = importlib.import_module("ladrating.binarize")
@@ -654,16 +718,45 @@ class TestMinimize:
     @settings(max_examples=300, deadline=None)
     def test_distinct_pairs_match_reference(self, problem):
         records, candidates = problem
-        module = importlib.import_module("ladrating.binarize")
-        got = _dedupe(_hashed_rows, records, candidates)
+        got = _dedupe(_interval_rows, records, candidates)
         assert got == _dedupe(_reference_rows, records, candidates)
 
     @given(pair_problems())
+    @example(WIDE_PAIRS)
     @settings(max_examples=300, deadline=None)
-    def test_all_pair_gains_match_distinct_row_counts(self, problem):
+    def test_gains_match_distinct_row_sums(self, problem):
         gains = _gains(*problem)
         if gains is not None:
             assert gains[0] == gains[1]
+
+    @given(pair_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_record_hashes_xor_the_true_columns(self, problem):
+        # The prefix-XOR hashes equal the XOR of `_hash_words` over each
+        # record's true columns, seed by seed.
+        records, candidates = problem
+        module = importlib.import_module("ladrating.binarize")
+        view = binarize(records, sorted(candidates))
+        pos, neg = np.flatnonzero(view.labels), np.flatnonzero(~view.labels)
+        seen = []
+        real = module._record_hashes
+
+        def spy(ends, first, n_columns, seed):
+            seen.append((seed, real(ends, first, n_columns, seed)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_record_hashes", spy)
+            try:
+                module._distinct_pairs(view, pos, neg)
+            except ContradictionError:
+                pass
+        assert len(seen) == (len(pos) > 0 and len(neg) > 0)
+        for seed, hashes in seen:
+            words = module._hash_words(len(candidates), seed)
+            plain = np.bitwise_xor.reduce(np.where(view.matrix, words, np.uint64(0)), axis=1)
+            assert hashes.dtype == np.uint64
+            assert hashes.tolist() == plain.tolist()
 
     def test_hash_collisions_are_rehashed(self, monkeypatch):
         module = importlib.import_module("ladrating.binarize")
@@ -675,7 +768,7 @@ class TestMinimize:
         def outcomes():
             return [
                 (
-                    _dedupe(_hashed_rows, r, c),
+                    _dedupe(_interval_rows, r, c),
                     _outcome(minimize_cutpoints, c, r),
                     _gains(r, c),
                 )
@@ -683,7 +776,7 @@ class TestMinimize:
             ]
 
         honest = outcomes()
-        # Gains equal the distinct-row counts (None marks a contradiction).
+        # Gains equal the distinct-row sums (None marks a contradiction).
         assert all(g is None or g[0] == g[1] for _, _, g in honest)
         seeds = []
         real = module._hash_words
@@ -699,8 +792,8 @@ class TestMinimize:
         monkeypatch.setattr(module, "_hash_words", colliding)
         assert outcomes() == honest
         assert 1 in seeds
-        # One pair per block: repeats of a failed attempt are counted before
-        # its mismatch shows, and the rehash must start its counts afresh.
+        # One pair per block: the check of repeats spans many blocks, and a
+        # mismatch in any of them must start over with the next seed.
         monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
         assert outcomes() == honest
 
@@ -712,23 +805,14 @@ class TestMinimize:
         bits = rng.random((50, 40)) < 0.05
         for i in np.flatnonzero(~bits.any(axis=1)):
             bits[i, rng.integers(40)] = True
-        packed = np.packbits(bits, axis=1)
-        greedy = module._greedy_cover(packed, module._column_counts(packed, np.ones(50, bool), 40))
+        masks = [sum(1 << int(i) for i in np.flatnonzero(bits[:, c])) for c in range(40)]
+        full = (1 << 50) - 1
+        greedy = _reference_greedy_cover(masks, full)
         start = time.process_time()
-        cover = module._exact_cover(module._column_masks(packed, 40), (1 << 50) - 1, greedy)
+        cover = module._exact_cover(masks, full, greedy)
         assert time.process_time() - start < 5.0
         assert len(cover) <= len(greedy)
         assert bits[:, cover].any(axis=1).all()
-
-    def test_column_counts_match_plain_sums(self):
-        module = importlib.import_module("ladrating.binarize")
-        rng = np.random.default_rng(0)
-        bits = rng.random((700, 20)) < 0.5
-        bits[:, 3] = True  # 700 ones: a sum wrapping at 256 would show here
-        packed = np.packbits(bits, axis=1)
-        for rows in (np.ones(700, dtype=bool), rng.random(700) < 0.5):
-            expected = bits[rows].sum(axis=0)
-            assert (module._column_counts(packed, rows, 20) == expected).all()
 
 
 class TestBinarize:

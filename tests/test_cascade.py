@@ -41,6 +41,7 @@ from ladrating.data import FALLBACK_TO_LAST, UNCLASSIFIED_POLICY, Split, value_m
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
 from conftest import TREE_YEARS, noisy_dataset, published_tree_dataset, tree_text
+from test_binarize import _reference_minimize
 
 data_module = importlib.import_module("ladrating.data")
 UNCLASSIFIED_SCALE = RatingScale(DEFAULT_SCALE.classes, fallback_policy=UNCLASSIFIED_POLICY)
@@ -165,6 +166,23 @@ class TestTrain:
     def test_trees_pinned(self, case):
         tree = export_decision_tree(train_cascade(PINNED_DATASETS[case]()))
         assert hashlib.sha256(tree.encode()).hexdigest() == PINNED_TREES[case]
+
+    @pytest.mark.parametrize("case", ["nested-0", "noisy-0"])
+    def test_stage_cuts_match_reference_minimizer(self, case, monkeypatch):
+        # Stages of thousands of pairs, most of them repeats; the hypothesis
+        # problems of test_binarize hold at most 19 records.
+        calls = []
+        minimize = cascade_module.minimize_cutpoints
+
+        def spy(candidates, records, **kwargs):
+            calls.append((candidates, records, minimize(candidates, records, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(cascade_module, "minimize_cutpoints", spy)
+        train_cascade(PINNED_DATASETS[case]())
+        assert len(calls) == len(DEFAULT_SCALE.classes) - 1
+        for candidates, records, cuts in calls:
+            assert cuts == _reference_minimize(candidates, records)
 
     @pytest.mark.parametrize("case", sorted(PINNED_DATASETS) + ["adjacent-up", "adjacent-down"])
     def test_pattern_counts_match_pattern_matches(self, case):
