@@ -213,6 +213,10 @@ def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryVi
 #: Byte budget of one block of pair intervals while repeats are checked.
 _BLOCK_BYTES = 1 << 24
 
+#: Hash seeds `_distinct_pairs` tries before it gives up. A 64-bit collision
+#: under one seed is already rare, so running out means a broken hash.
+_MAX_SEEDS = 64
+
 #: Search nodes `_exact_cover` may visit (about 0.5 s of search) before it
 #: returns the best cover found so far. A count, not a time, so results stay
 #: deterministic. Exact stages of the bundled workloads need under 2,000.
@@ -257,8 +261,9 @@ def minimize_cutpoints(
     different hashes have different intervals, and every other pair of a
     group is compared with the pair before it in the group, so the result
     is exact; a mismatch (a 64-bit collision) starts over with the words of
-    the next seed. A pair hashing to 0 is inseparable exactly when its two
-    records' ranks are equal, which is checked directly.
+    the next seed, up to `_MAX_SEEDS` seeds. A pair hashing to 0 is
+    inseparable exactly when its two records' ranks are equal, which is
+    checked directly.
 
     Memory is about 16 bytes per pair (24 for a moment while the hashes
     are sorted), plus 8 bytes per indicator per distinct pair, plus blocks
@@ -266,6 +271,9 @@ def minimize_cutpoints(
 
     Raises ContradictionError when some opposite-class pair is separated by
     no candidate at all; its `pairs` lists every such pair, positive-major.
+    Raises RuntimeError, an internal fault, when the dedupe runs out of
+    seeds or a greedy pick covers no pair: a broken hash or interval test,
+    never the input, so it fails instead of looping.
     """
     candidates = sorted(cp for cp in candidates if not math.isnan(cp.threshold))
     view = binarize(records, candidates)
@@ -292,7 +300,8 @@ def _distinct_pairs(
     """The `lo` and `hi` bounds (indicators x distinct pairs) of the
     distinct (positive, negative) pairs, in first-seen positive-major order.
 
-    Raises ContradictionError when some pairs have only empty intervals.
+    Raises ContradictionError when some pairs have only empty intervals,
+    and RuntimeError when no seed of `_MAX_SEEDS` dedupes the pairs.
     """
     codes = [cp.indicator for cp in view.cutpoints]
     first = np.array([codes.index(code) for code in dict.fromkeys(codes)], dtype=np.int32)
@@ -302,8 +311,7 @@ def _distinct_pairs(
     ends = np.ascontiguousarray(ends.T)
     if not len(pos) or not len(neg):
         return ends[:, :0], ends[:, :0]
-    seed = 0
-    while True:
+    for seed in range(_MAX_SEEDS):
         record_hash = _record_hashes(ends, first, view.matrix.shape[1], seed)
         pair_hash = (record_hash[pos, None] ^ record_hash[None, neg]).ravel()
         # Equal ranks hash to 0 under every seed, so confirming the pairs
@@ -327,7 +335,7 @@ def _distinct_pairs(
         if _repeats_match(ends, pos, neg, order, is_start):
             kept = np.minimum.reduceat(order, np.flatnonzero(is_start))
             return _pair_intervals(ends, pos, neg, np.sort(kept))
-        seed += 1
+    raise RuntimeError(f"pair hashes collided under {_MAX_SEEDS} seeds in a row")
 
 
 def _hash_words(n_columns: int, seed: int) -> np.ndarray:
@@ -391,12 +399,16 @@ def _gains(lo: np.ndarray, hi: np.ndarray, n_columns: int) -> np.ndarray:
 
 
 def _greedy_cover(lo: np.ndarray, hi: np.ndarray, n_columns: int) -> list[int]:
-    """Greedy set cover: most uncovered pairs, ties to the earlier candidate."""
+    """Greedy set cover: most uncovered pairs, ties to the earlier candidate.
+    Raises RuntimeError when a pick covers no remaining pair, which only
+    intervals that disagree with `_gains` can cause."""
     chosen: list[int] = []
     while lo.shape[1]:
         best = int(np.argmax(_gains(lo, hi, n_columns)))
         chosen.append(best)
         left = ~_covers(lo, hi, best)
+        if left.all():
+            raise RuntimeError(f"greedy pick {best} covers none of {len(left)} pairs")
         lo, hi = np.compress(left, lo, axis=1), np.compress(left, hi, axis=1)
     return chosen
 

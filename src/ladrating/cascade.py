@@ -58,6 +58,11 @@ class _FirstMatchPlan(NamedTuple):
     #: W x entries, W the most literals of any entry: the truth rows whose
     #: AND is each entry's, padded with the all-true row.
     slots: np.ndarray
+    #: The entries' distinct labels, in first-seen order, and per entry the
+    #: index of its label among them, so that `evaluate` maps each label to
+    #: its rating code once.
+    labels: tuple[Optional[str], ...]
+    label_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,9 @@ class CascadeModel:
     def _first_match_plan(self) -> _FirstMatchPlan:
         """`_first_match` as arrays for `first_match`: each distinct literal
         is one row of a truth matrix, the rows of one `(code, direction)`
-        grouped, and `slots` holds each entry's literal rows. Built on the
-        first `first_match`, once per model."""
+        grouped, and `slots` holds each entry's literal rows; `labels` and
+        `label_of` index the entries' labels. Built on the first
+        `first_match`, once per model."""
         table = self._first_match
         distinct = sorted(dict.fromkeys(chain.from_iterable(lits for _, lits in table)), key=_GROUP)
         row = dict(zip(distinct, range(len(distinct))))
@@ -137,7 +143,11 @@ class CascadeModel:
         true = len(distinct)
         entries = (list(map(row.__getitem__, lits)) or [true] for _, lits in table)
         slots = np.array(list(zip_longest(*entries, fillvalue=true)), dtype=np.intp)
-        return _FirstMatchPlan(tuple(compares), true + 1, slots)
+        labels: dict[Optional[str], int] = {}
+        label_of = [labels.setdefault(label, len(labels)) for label, _ in table]
+        return _FirstMatchPlan(
+            tuple(compares), true + 1, slots, tuple(labels), np.array(label_of, dtype=np.intp)
+        )
 
     def __getstate__(self):
         # A generated function does not pickle; a copy compiles its own.

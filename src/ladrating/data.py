@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from ._numpy import np
@@ -129,10 +130,17 @@ class Split:
 
 def value_matrix(records: Sequence[CountryRecord], codes: Sequence[str]) -> np.ndarray:
     """The records' values as a float matrix, records x codes; NaN where a
-    record has no value for a code."""
-    return np.array(
-        [[r.values.get(code, math.nan) for code in codes] for r in records], dtype=float
-    ).reshape(len(records), len(codes))
+    record has no value for a code.
+
+    Filled in one `np.fromiter` pass over each record's `values.get` mapped
+    over the codes, NaN as the default. Each value converts as it would in
+    `np.array(..., dtype=float)`: an int, a bool or a numpy scalar gives its
+    float."""
+    nans = [math.nan] * len(codes)
+    cells = chain.from_iterable(map(r.values.get, codes, nans) for r in records)
+    return np.fromiter(cells, dtype=float, count=len(records) * len(codes)).reshape(
+        len(records), len(codes)
+    )
 
 
 def rating_codes(labels: Iterable[Optional[str]], known: dict[str, int]) -> list[int]:
@@ -145,11 +153,13 @@ def rating_codes(labels: Iterable[Optional[str]], known: dict[str, int]) -> list
     return [0 if label is None else known.setdefault(label, len(known) + 1) for label in labels]
 
 
-def sort_ranks(items: Sequence[str]) -> np.ndarray:
-    """Rank of each item among the distinct items in sorted order; equal
-    items get equal ranks."""
-    rank = {item: i for i, item in enumerate(sorted(set(items)))}
-    return np.array([rank[item] for item in items], dtype=np.intp)
+def sort_ranks(items: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each item's rank among the distinct items, and those distinct items
+    in sorted order: `distinct[rank[i]] == items[i]`, and equal items get
+    equal ranks."""
+    distinct = tuple(sorted(set(items)))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(rank.__getitem__, items), dtype=np.intp, count=len(items)), distinct
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +167,17 @@ class LabeledArrays:
     """A dataset's labeled records as arrays, one row per record in
     `Dataset.labeled_records` order. The arrays are read-only. `values` is
     column-major, so that `first_match` reads each code's column
-    contiguously."""
+    contiguously. `country_rank` and `distinct_ids` come from one
+    `sort_ranks`: a row's country id is `distinct_ids[country_rank[row]]`,
+    and rank order is id order. Reports keep both as their rows' integer
+    keys, which `repeat_offenders` counts."""
 
     codes: tuple[str, ...]  # the columns of `values`: `Dataset.indicator_codes()`
     values: np.ndarray  # rows x codes, NaN for a missing value; column-major
     observed: np.ndarray  # `rating_codes` of the observed ratings
     labels: tuple[str, ...]  # labels[c - 1] is the label of code c
-    country_ids: np.ndarray  # object array of the country ids
-    country_rank: np.ndarray  # `sort_ranks` of the country ids
+    country_rank: np.ndarray  # each country id's index in `distinct_ids`
+    distinct_ids: tuple[str, ...]  # the distinct country ids, sorted
     train: Optional[np.ndarray]  # boolean masks, when the dataset has a split
     test: Optional[np.ndarray]
 
@@ -206,7 +219,7 @@ class Dataset:
 
     def indicator_codes(self) -> tuple[str, ...]:
         """Codes observed anywhere in the data, in registry-then-alpha order."""
-        seen = {c for r in self.records for c in r.values}
+        seen = set().union(*[r.values for r in self.records])
         ordered = [i.code for i in BUILTIN_INDICATORS if i.code in seen]
         ordered += sorted(seen - set(ordered))
         return tuple(ordered)
@@ -221,8 +234,8 @@ class Dataset:
     @cached_property
     def labeled_arrays(self) -> LabeledArrays:
         """The labeled records as arrays: their values over
-        `indicator_codes()`, observed rating codes, country ranks and split
-        masks.
+        `indicator_codes()`, observed rating codes, country ranks with the
+        sorted distinct ids, and split masks.
 
         Built on first use, once per instance; the dataset is frozen, so
         nothing invalidates it. `dataclasses.replace` (as in `split_dataset`)
@@ -234,19 +247,19 @@ class Dataset:
         codes = self.indicator_codes()
         known = {label: c for c, label in enumerate(self.scale.classes, start=1)}
         observed = rating_codes([r.observed_rating for r in labeled], known)
-        country_ids = [r.country_id for r in labeled]
         split = self.split
 
         def mask(keys):
             return np.array([r.key in keys for r in labeled], dtype=bool)
 
+        country_rank, distinct_ids = sort_ranks([r.country_id for r in labeled])
         return LabeledArrays(
             codes=codes,
             values=np.asfortranarray(value_matrix(labeled, codes)),
             observed=np.array(observed, dtype=np.intp),
             labels=tuple(known),
-            country_ids=np.array(country_ids, dtype=object),
-            country_rank=sort_ranks(country_ids),
+            country_rank=country_rank,
+            distinct_ids=distinct_ids,
             train=mask(split.train_keys) if split else None,
             test=mask(split.test_keys) if split else None,
         )

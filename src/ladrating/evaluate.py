@@ -10,9 +10,8 @@ bias shows up in.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._numpy import np
@@ -39,21 +38,34 @@ class Mismatch(NamedTuple):
 class MismatchRows(Sequence[Mismatch]):
     """A report's mismatch rows: a read-only sequence of `Mismatch`.
 
-    `evaluate` keeps the rows as columns and builds every `Mismatch` on the
-    first read of a row (index, iteration, `==`, `hash` or `repr`), so a
-    report read only for its counts or country ids never builds them.
-    `country_ids` holds the rows' country ids in row order. The sequence
-    compares equal to any sequence of the same rows (never a `str` or
-    `bytes`), such as the tuple of them, in either operand order, and its
-    `hash` and `repr` are that tuple's. It is not a `tuple` instance.
+    The rows are held as integer keys and columns. `country_rank` is an int
+    array with each row's index into `distinct_ids`, the sorted distinct
+    country ids of the data the report was built from, so a row's country
+    id is `distinct_ids[country_rank[row]]`; `repeat_offenders` counts these
+    keys. `evaluate` keeps the other fields as columns and builds every
+    `Mismatch` on the first read of a row (index, iteration, `==`, `hash`
+    or `repr`), so a report read only for its counts or keys never builds
+    them. The sequence compares equal to any sequence of the same rows
+    (never a `str` or `bytes`), such as the tuple of them, in either operand
+    order, and its `hash` and `repr` are that tuple's. It is not a `tuple`
+    instance.
     """
 
-    __slots__ = ("country_ids", "_columns", "_rows")
+    __slots__ = ("country_rank", "distinct_ids", "_columns", "_rows")
 
-    def __init__(self, country_ids: tuple[str, ...], columns=None, rows=None):
-        self.country_ids = country_ids
+    def __init__(
+        self, country_rank: np.ndarray, distinct_ids: tuple[str, ...], columns=None, rows=None
+    ):
+        self.country_rank = country_rank
+        self.distinct_ids = distinct_ids
         self._columns = columns  # (names, model, observed, distance, kind)
         self._rows = rows
+
+    @property
+    def country_ids(self) -> tuple[str, ...]:
+        """The rows' country ids in row order, looked up from the keys on
+        each read."""
+        return tuple(map(self.distinct_ids.__getitem__, self.country_rank.tolist()))
 
     def rows(self) -> tuple[Mismatch, ...]:
         """The rows as a tuple, built on the first call."""
@@ -73,7 +85,7 @@ class MismatchRows(Sequence[Mismatch]):
         return self._rows
 
     def __len__(self) -> int:
-        return len(self.country_ids)
+        return len(self.country_rank)
 
     def __getitem__(self, index):
         return self.rows()[index]
@@ -115,8 +127,8 @@ class EvaluationReport:
     def __post_init__(self):
         if not isinstance(self.mismatches, MismatchRows):
             rows = tuple(self.mismatches)
-            ids = tuple(m.country_id for m in rows)
-            object.__setattr__(self, "mismatches", MismatchRows(ids, rows=rows))
+            keys = sort_ranks([m.country_id for m in rows])
+            object.__setattr__(self, "mismatches", MismatchRows(*keys, rows=rows))
 
     @property
     def exact_matches(self) -> int:
@@ -126,19 +138,28 @@ class EvaluationReport:
 def _build_report(
     scale: RatingScale,
     labels: Sequence[Optional[str]],
-    country_ids: np.ndarray,
     country_rank: np.ndarray,
+    distinct_ids: tuple[str, ...],
     observed: np.ndarray,
     model: np.ndarray,
     train: Optional[np.ndarray] = None,
     test: Optional[np.ndarray] = None,
 ) -> EvaluationReport:
     """The report of rows given as `rating_codes`: `labels[c]` names code c.
-    `country_ids` is an object array of the rows' country ids.
+    Row i's country id is `distinct_ids[country_rank[i]]`, as `sort_ranks`
+    gives them.
 
     A row mismatches when its codes differ. A mismatching row with a model
     rating needs both labels on the scale to give a distance, so a label
     outside it there is an error; other rows are not checked.
+
+    Mismatch rows are ordered by one `argsort` of an integer key (`intp`,
+    int64 on 64-bit platforms) that is unique per row: largest |distance|
+    first and unclassified rows last, then country rank, then record
+    order. Each part's range is a constant, not read from the data:
+    `len(scale) + 1` values for the distance, `len(distinct_ids)` for the
+    rank and the record count for the position. So the key fits while
+    (len(scale) + 1) x ids x records < 2**63.
     """
     total = len(observed)
     if not total:
@@ -153,14 +174,15 @@ def _build_report(
         raise DataFormatError(f"unknown rating label {labels[bad]!r}")
     distance = observed - model
     better = directed & (distance > 0)
-    # Largest |distance| first, unclassified rows last, then by country id;
-    # lexsort is stable, so rows that tie keep their record order.
     rows = np.flatnonzero(mismatch)
+    rank = country_rank[rows]
+    # -1 for unclassified rows, so that they come last.
     size = np.where(directed, np.abs(distance), -1)[rows]
-    rows = rows[np.lexsort((country_rank[rows], -size))]
+    order = np.argsort((rank - size * len(distinct_ids)) * total + rows)
+    rows, rank = rows[order], rank[order]
     # 0 unclassified, 1 model-worse, 2 model-better: an index into _DIRECTIONS.
     kind = 1 * directed[rows] + better[rows]
-    mismatches = MismatchRows(tuple(country_ids[rows].tolist()), columns=(
+    mismatches = MismatchRows(rank, distinct_ids, columns=(
         np.array(labels, dtype=object), model[rows], observed[rows], distance[rows], kind,
     ))
 
@@ -196,11 +218,14 @@ def evaluate(model: CascadeModel, dataset: Dataset) -> EvaluationReport:
     direction and are excluded from the bias shares.
     """
     arrays = dataset.labeled_arrays
+    plan = model._first_match_plan
     known = {label: c for c, label in enumerate(arrays.labels, start=1)}
-    entry = np.array(rating_codes([label for label, _ in model._first_match], known), dtype=np.intp)
+    # Codes per distinct entry label, first seen first: the codes that
+    # `rating_codes` gives over every entry's label.
+    entry = np.array(rating_codes(plan.labels, known), dtype=np.intp)[plan.label_of]
     ratings = entry[first_match(model, arrays.codes, arrays.values)]
     return _build_report(
-        dataset.scale, (None, *known), arrays.country_ids, arrays.country_rank,
+        dataset.scale, (None, *known), arrays.country_rank, arrays.distinct_ids,
         arrays.observed, ratings, arrays.train, arrays.test,
     )
 
@@ -218,9 +243,8 @@ def report_from_pairs(
     known = {label: c for c, label in enumerate(scale.classes, start=1)}
     model = rating_codes([m for _, m, _ in pairs], known)
     observed = rating_codes([o for _, _, o in pairs], known)
-    country_ids = [c for c, _, _ in pairs]
     return _build_report(
-        scale, (None, *known), np.array(country_ids, dtype=object), sort_ranks(country_ids),
+        scale, (None, *known), *sort_ranks([c for c, _, _ in pairs]),
         np.array(observed, dtype=np.intp), np.array(model, dtype=np.intp),
     )
 
@@ -236,18 +260,50 @@ class RepeatOffenderSummary:
 
 def repeat_offenders(reports: Sequence[EvaluationReport]) -> RepeatOffenderSummary:
     """The countries with a mismatch row in two or more of `reports`, one
-    report per evaluated year, counted from each report's
-    `mismatches.country_ids`, so no row is built. A country with two rows
-    in one report counts twice.
+    report per evaluated year. A country with two rows in one report counts
+    twice. `counts` lists the countries in the order their first row comes
+    in the reports' rows, report by report; `twice` and `more_than_twice`
+    are sorted.
+
+    Counted on integer keys, so no row is built: one `np.bincount` over the
+    reports' `mismatches.country_rank`. Reports whose id tables
+    (`mismatches.distinct_ids`) are the same object or equal share one
+    table; when there are several, they are merged once into the sorted
+    union, with work in the number of distinct ids, and each report's ranks
+    are mapped into it.
     """
     if len(reports) < 2:
         raise DataFormatError("repeat-offender summary needs >= 2 reports")
-    counts = Counter(chain.from_iterable(report.mismatches.country_ids for report in reports))
-    repeated = {c: n for c, n in counts.items() if n >= 2}
+    rows = [report.mismatches for report in reports]
+    tables: list[tuple[str, ...]] = []
+    which = []  # per report, the index of its table in `tables`
+    for m in rows:
+        t = next((i for i, table in enumerate(tables)
+                  if table is m.distinct_ids or table == m.distinct_ids), len(tables))
+        if t == len(tables):
+            tables.append(m.distinct_ids)
+        which.append(t)
+    if len(tables) == 1:
+        ids = tables[0]
+        keys = np.concatenate([m.country_rank for m in rows])
+    else:
+        ids = tuple(sorted(set().union(*tables)))
+        index = dict(zip(ids, range(len(ids))))
+        remap = [np.fromiter(map(index.__getitem__, table), np.intp, len(table)) for table in tables]
+        keys = np.concatenate([remap[t][m.country_rank] for m, t in zip(rows, which)])
+    counts = np.bincount(keys, minlength=len(ids))
+    # Each repeated key's first position in `keys`, marked: the keys at the
+    # marks, in position order, are the repeated ids in first-seen order.
+    first = np.full(len(ids), len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    seen = np.zeros(len(keys), dtype=bool)
+    seen[first[counts >= 2]] = True
+    repeated = keys[seen]
+    names = np.fromiter(ids, dtype=object, count=len(ids))
     return RepeatOffenderSummary(
-        counts=repeated,
-        twice=tuple(sorted(c for c, n in repeated.items() if n == 2)),
-        more_than_twice=tuple(sorted(c for c, n in repeated.items() if n > 2)),
+        counts=dict(zip(names[repeated].tolist(), counts[repeated].tolist())),
+        twice=tuple(names[counts == 2].tolist()),
+        more_than_twice=tuple(names[counts > 2].tolist()),
     )
 
 

@@ -797,6 +797,35 @@ class TestMinimize:
         monkeypatch.setattr(module, "_BLOCK_BYTES", 1)
         assert outcomes() == honest
 
+    def test_constant_hash_words_raise_instead_of_looping(self, monkeypatch):
+        # Under one word per column, every pair of opposite parity shares a
+        # hash; here those pairs have four different intervals, so no seed
+        # can pass the check of repeats.
+        module = importlib.import_module("ladrating.binarize")
+        seeds = []
+
+        def constant(n_columns, seed):
+            seeds.append(seed)
+            return np.full(n_columns, 0x9E3779B97F4A7C15, dtype=np.uint64)
+
+        monkeypatch.setattr(module, "_hash_words", constant)
+        records = labeled([(1, True), (3, True), (2, False), (4, False)])
+        cuts = [CutPoint("G", t) for t in (1.5, 2.5, 3.5)]
+        with pytest.raises(RuntimeError, match="collided"):
+            minimize_cutpoints(cuts, records)
+        assert seeds == list(range(module._MAX_SEEDS))
+
+    @pytest.mark.parametrize("limit", [0, 2000])
+    def test_covers_mutant_raises_instead_of_looping(self, monkeypatch, limit):
+        # `<` in place of `<=` drops each interval's first candidate, so the
+        # greedy pick on a one-candidate interval covers nothing.
+        module = importlib.import_module("ladrating.binarize")
+        monkeypatch.setattr(
+            module, "_covers", lambda lo, hi, c: ((lo < c) & (c < hi)).any(axis=-2))
+        with pytest.raises(RuntimeError, match="covers none"):
+            minimize_cutpoints(
+                [CutPoint("G", 2.0)], labeled([(1, True), (3, False)]), exact_cell_limit=limit)
+
     def test_exact_cover_node_budget_keeps_a_greedy_bounded_cover(self):
         # Unbudgeted, this 50-pair x 40-candidate instance at 5% density
         # visits about 4.8 million search nodes (13 s on a 2-vCPU Xeon).

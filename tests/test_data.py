@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from ladrating import (
     serialize_dataset,
     split_dataset,
 )
+from ladrating.data import sort_ranks, value_matrix
 
 
 class TestLoadDataset:
@@ -134,3 +138,50 @@ class TestSplit:
         test = {r.key for r in a.test_records}
         assert train | test == {r.key for r in ds.labeled_records}
         assert train & test == set()
+
+
+VALUE_CODES = ("G", "EX", "U")
+#: Cell values of every type a record's `values` may carry: floats (NaN and
+#: signed zeros among them), ints, bools and numpy scalars.
+cell_values = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(-(2**53), 2**53)
+    | st.booleans()
+    | st.builds(np.float64, st.floats(allow_nan=True))
+    | st.builds(np.float32, st.floats(width=32))
+    | st.builds(np.int64, st.integers(-(2**53), 2**53))
+    | st.builds(np.bool_, st.booleans())
+)
+
+
+class TestValueMatrix:
+    @given(
+        st.lists(st.dictionaries(st.sampled_from(VALUE_CODES), cell_values), max_size=6),
+        st.lists(st.sampled_from(VALUE_CODES + ("IM",)), unique=True, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_nested_list_form(self, dicts, codes):
+        records = [CountryRecord(f"c{i}", 2012, d) for i, d in enumerate(dicts)]
+        expected = np.array(
+            [[r.values.get(code, math.nan) for code in codes] for r in records], dtype=float
+        ).reshape(len(records), len(codes))
+        got = value_matrix(records, codes)
+        assert got.dtype == np.float64 and got.shape == (len(records), len(codes))
+        # Bytes, so NaN and the sign of zero must match too.
+        assert got.tobytes() == expected.tobytes()
+
+    def test_missing_values_are_nan_and_empty_shapes_hold(self):
+        records = [CountryRecord("a", 2012, {"G": 1}), CountryRecord("b", 2012, {"EX": True})]
+        got = value_matrix(records, ["G", "EX"])
+        assert str(got.tolist()) == "[[1.0, nan], [nan, 1.0]]"
+        assert value_matrix([], ["G", "EX"]).shape == (0, 2)
+        assert value_matrix(records, []).shape == (2, 0)
+        assert value_matrix([], []).shape == (0, 0)
+
+
+@given(st.lists(st.sampled_from(("b", "a", "c", "B", "")), max_size=12))
+def test_sort_ranks_index_the_sorted_distinct_items(items):
+    rank, distinct = sort_ranks(items)
+    assert distinct == tuple(sorted(set(items)))
+    assert [distinct[r] for r in rank.tolist()] == items
+    assert rank.dtype == np.intp and len(rank) == len(items)

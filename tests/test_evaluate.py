@@ -129,6 +129,50 @@ class TestReportFromPairs:
             assert by_country[m.country_id].signed_distance == -m.signed_distance
 
 
+def _oracle_rows(pairs, scale):
+    """The mismatch rows of (country, model, observed) label pairs, by a
+    stable Python sort: largest |distance| first, unclassified rows last,
+    then by country id."""
+    rows = []
+    for country, model, observed in pairs:
+        if model == observed:
+            continue
+        if model is None:
+            rows.append(Mismatch(country, None, observed, None, None))
+            continue
+        dist = scale.index(observed) - scale.index(model)
+        rows.append(Mismatch(country, model, observed, dist, MODEL_BETTER if dist > 0 else MODEL_WORSE))
+    rows.sort(key=lambda m: (
+        -abs(m.signed_distance) if m.signed_distance is not None else 1, m.country_id))
+    return rows
+
+
+#: Four labels three notches apart at most (few distinct distances), and
+#: an off-scale label that only an unclassified row may carry.
+TIE_LABELS = ("AAA", "AA", "AAM", "AP")
+
+
+@st.composite
+def tied_pairs(draw):
+    n_countries = draw(st.integers(1, 4))
+    countries = st.sampled_from([f"c{i}" for i in range(n_countries)])
+    rated = st.tuples(countries, st.sampled_from(TIE_LABELS), st.sampled_from(TIE_LABELS))
+    unrated = st.tuples(countries, st.none(), st.sampled_from(TIE_LABELS + ("ZZ",)))
+    return draw(st.lists(rated | unrated, min_size=1, max_size=40))
+
+
+@given(tied_pairs())
+@settings(max_examples=300, deadline=None)
+def test_row_order_with_heavy_ties_matches_a_stable_sort(pairs):
+    report = report_from_pairs(pairs, DEFAULT_SCALE)
+    rows = report.mismatches
+    ids = rows.distinct_ids
+    assert ids == tuple(sorted({c for c, _, _ in pairs}))
+    assert [ids[k] for k in rows.country_rank.tolist()] == list(rows.country_ids)
+    assert list(rows) == _oracle_rows(pairs, DEFAULT_SCALE)
+    assert report.unclassified_count == sum(m is None for _, m, _ in pairs)
+
+
 # Thresholds with ties, signed zeros and numpy scalars among them.
 _thresholds = st.builds(
     lambda t, wrap: np.float64(t) if wrap else t,
@@ -392,7 +436,7 @@ pattern_lists = st.lists(
 
 
 @st.composite
-def models_and_datasets(draw):
+def models_and_datasets(draw, countries="pqrs"):
     scale = RatingScale(
         SMALL_CLASSES, draw(st.sampled_from((FALLBACK_TO_LAST, UNCLASSIFIED_POLICY)))
     )
@@ -403,7 +447,7 @@ def models_and_datasets(draw):
     # Few countries over several years: country ids repeat, so rows tie on
     # distance and country and must keep their record order.
     keys = draw(st.lists(
-        st.tuples(st.sampled_from("pqrs"), st.integers(2010, 2015)),
+        st.tuples(st.sampled_from(countries), st.integers(2010, 2015)),
         min_size=1, max_size=25, unique=True,
     ))
     records = tuple(
@@ -513,9 +557,53 @@ class TestRepeatOffenders:
         assert all(_unbuilt(report.mismatches) for report in reports)
         counts = Counter(m.country_id for report in reports for m in report.mismatches)
         repeated = {c: n for c, n in counts.items() if n >= 2}
-        assert summary.counts == repeated
+        assert list(summary.counts.items()) == list(repeated.items())
         assert summary.twice == tuple(sorted(c for c, n in repeated.items() if n == 2))
         assert summary.more_than_twice == tuple(sorted(c for c, n in repeated.items() if n > 2))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_counter_in_first_seen_order(self, data):
+        # Reports of four kinds, mixed: one dataset (one id table, shared by
+        # identity), a second dataset whose ids overlap the first's, two
+        # equal-content split instances of the first (equal tables, not the
+        # same object), and hand-built tuple reports.
+        def usable(case):
+            return len(case[1].labeled_records) >= 2
+
+        model, first = data.draw(models_and_datasets().filter(usable))
+        other_model, second = data.draw(models_and_datasets(countries="rstu").filter(usable))
+        splits = [split_dataset(first, 0.5, seed=1) for _ in range(2)]
+        assert splits[0].labeled_arrays.distinct_ids == splits[1].labeled_arrays.distinct_ids
+        assert splits[0].labeled_arrays.distinct_ids is not splits[1].labeled_arrays.distinct_ids
+        makers = {
+            "first": lambda: evaluate(model, first),
+            "second": lambda: evaluate(other_model, second),
+            "split 0": lambda: evaluate(other_model, splits[0]),
+            "split 1": lambda: evaluate(model, splits[1]),
+            "hand": lambda: EvaluationReport(
+                0.0, None, None, tuple(evaluate(other_model, first).mismatches), None, None, 0, 1),
+        }
+        kinds = data.draw(st.lists(st.sampled_from(sorted(makers)), min_size=2, max_size=6))
+        reports = [makers[kind]() for kind in kinds]
+        summary = repeat_offenders(reports)
+        assert all(_unbuilt(r.mismatches) for r, kind in zip(reports, kinds) if kind != "hand")
+        counts = Counter(m.country_id for report in reports for m in report.mismatches)
+        repeated = {c: n for c, n in counts.items() if n >= 2}
+        assert list(summary.counts.items()) == list(repeated.items())
+        assert summary.twice == tuple(sorted(c for c, n in repeated.items() if n == 2))
+        assert summary.more_than_twice == tuple(sorted(c for c, n in repeated.items() if n > 2))
+
+    def test_counts_keep_first_seen_order_across_tables(self):
+        # Rows come largest distance first, so Z's row comes before B's.
+        a = report_from_pairs([("B", "AAA", "AA"), ("Z", "AAA", "BM")], DEFAULT_SCALE)
+        b = report_from_pairs([("B", "AAA", "AA"), ("A", "AAA", "AA"), ("Z", "AA", "AAA")],
+                              DEFAULT_SCALE)
+        hand = EvaluationReport(0.0, None, None, (Mismatch("A", None, "B", None, None),),
+                                None, None, 1, 1)
+        summary = repeat_offenders([a, b, hand])
+        assert list(summary.counts.items()) == [("Z", 2), ("B", 2), ("A", 2)]
+        assert summary.twice == ("A", "B", "Z") and summary.more_than_twice == ()
 
     def test_hand_built_report(self):
         rows = (Mismatch("X", "AAA", "AA", 1, MODEL_BETTER), Mismatch("Y", None, "B", None, None))
