@@ -420,7 +420,7 @@ def _exact_cover(masks: list[int], full: int, best: list[int]) -> list[int]:
     max_cover = max(m.bit_count() for m in masks)
     nodes = 0
 
-    def recurse(idx: int, covered: int, chosen: list[int]):
+    def recurse(covered: int, chosen: list[int]):
         nonlocal best, nodes
         nodes += 1
         if nodes > _EXACT_NODE_BUDGET:
@@ -428,8 +428,6 @@ def _exact_cover(masks: list[int], full: int, best: list[int]) -> list[int]:
         if covered == full:
             if len(chosen) < len(best):
                 best = list(chosen)
-            return
-        if idx >= len(order):
             return
         remaining = (full & ~covered).bit_count()
         lower = len(chosen) + -(-remaining // max_cover)
@@ -440,8 +438,8 @@ def _exact_cover(masks: list[int], full: int, best: list[int]) -> list[int]:
         for c in order:
             if masks[c] & target:
                 chosen.append(c)
-                recurse(idx + 1, covered | masks[c], chosen)
+                recurse(covered | masks[c], chosen)
                 chosen.pop()
 
-    recurse(0, 0, [])
+    recurse(0, [])
     return best

@@ -251,9 +251,11 @@ def _require_unrated(record: CountryRecord) -> None:
         )
 
 
-def _classify_like(args, suggest: bool) -> int:
+def cmd_classify(args) -> int:
+    """Serves both classify and suggest; suggest takes unrated records only."""
     model = _load_model(args)
     records = _records_to_classify(args, model.scale)
+    suggest = args.command == "suggest"
     if suggest:
         for rec in records:
             _require_unrated(rec)
@@ -264,14 +266,6 @@ def _classify_like(args, suggest: bool) -> int:
     )
     _emit(args.out, out.getvalue())
     return EXIT_OK
-
-
-def cmd_classify(args) -> int:
-    return _classify_like(args, suggest=False)
-
-
-def cmd_suggest(args) -> int:
-    return _classify_like(args, suggest=True)
 
 
 def cmd_evaluate(args) -> int:
@@ -370,6 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
                             + ("the bundle's policy, else " if reads_bundle else "")
                             + "fallback-to-last)")
 
+    def add_model_flags(p, out_help="output path (default stdout)"):
+        p.add_argument("--model", required=True, help="decision-tree text file")
+        p.add_argument("--lenient", action="store_true",
+                       help="repair known print artifacts while parsing the model")
+        p.add_argument("--out", help=out_help)
+
     p = sub.add_parser("train", help="fit a cascade on labeled data")
     p.add_argument("--data", required=True, help="CSV of country-year rows")
     p.add_argument("--year", type=int, required=True, help="model vintage (metadata)")
@@ -381,26 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_fallback_flag(p, reads_bundle=False)
     p.set_defaults(func=cmd_train)
 
-    for name, func, helptext in (
-        ("classify", cmd_classify, "rate records with a model"),
-        ("suggest", cmd_suggest, "suggest ratings for unrated records"),
+    for name, helptext in (
+        ("classify", "rate records with a model"),
+        ("suggest", "suggest ratings for unrated records"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--model", required=True, help="decision-tree text file")
+        add_model_flags(p)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--data", help="CSV of records to rate")
         source.add_argument("--country-values", help='inline record, e.g. "U=80,G=60000"')
-        p.add_argument("--lenient", action="store_true",
-                       help="repair known print artifacts while parsing the model")
-        p.add_argument("--out", help="output path (default stdout)")
         add_fallback_flag(p, reads_bundle=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score a model against labeled data")
-    p.add_argument("--model", required=True)
+    add_model_flags(p, out_help="report path prefix (default stdout)")
     p.add_argument("--data", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("--out", help="report path prefix (default stdout)")
     add_split_flags(p)
     add_fallback_flag(p, reads_bundle=True)
     p.set_defaults(func=cmd_evaluate)
@@ -415,15 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_import_tree)
 
     p = sub.add_parser("export-tree", help="re-emit a model in canonical text form")
-    p.add_argument("--model", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("--out", help="output path (default stdout)")
+    add_model_flags(p)
     p.set_defaults(func=cmd_export_tree)
 
     p = sub.add_parser("report-keyvars", help="indicator frequency per stage group")
-    p.add_argument("--model", required=True)
-    p.add_argument("--lenient", action="store_true")
-    p.add_argument("--out", help="output path (default stdout)")
+    add_model_flags(p)
     p.set_defaults(func=cmd_report_keyvars)
 
     return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import numbers
 from dataclasses import dataclass, replace
@@ -220,11 +219,12 @@ def select_dnf(
     looked up by each pattern's literals themselves, as `enumerate_patterns`
     returns patterns, not rows: with prime patterns only, the pool is small
     enough that per-pattern work in Python costs less than per-pick numpy
-    calls. The pool is a heap keyed by gain and the tie order. Gains only
-    shrink, so a stale gain is an upper bound: the top is taken when its
-    gain, recounted, is unchanged, and pushed back otherwise (lazy greedy).
-    Memory beyond enumeration's is one cover of ceil(records / 8) bytes per
-    prime pattern.
+    calls. At each floor the pool is the primes meeting it whose cover
+    still reaches an uncovered positive; a pick recounts every member's
+    gain with one AND and one `bit_count`, then drops the members that
+    cover nothing still uncovered. Enumeration has already paid that once
+    per prime, and picks are few. Memory beyond enumeration's is one cover
+    of ceil(records / 8) bytes per prime pattern.
     """
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
@@ -238,35 +238,24 @@ def select_dnf(
         for lit in p.literals:
             cover &= truth[lit]
         covers.append(cover)
-    joining = sorted(range(len(patterns)), key=lambda i: -patterns[i].prevalence)
-    joined = 0
-    heap: list[tuple[int, float, int, int]] = []
-
-    def push(gain: int, i: int) -> None:
-        p = patterns[i]
-        heapq.heappush(heap, (-gain, -p.homogeneity, p.degree, i))
-
     selected: list[Pattern] = []
     n_covered = 0
     relaxations: list[float] = []
     schedule = iter(config.relaxation_schedule)
 
+    def rank(i: int) -> tuple[int, float, int, int]:
+        p = patterns[i]
+        return (covers[i] & uncovered).bit_count(), p.homogeneity, -p.degree, -i
+
     while True:
-        while joined < len(joining) and patterns[joining[joined]].prevalence + _EPS >= floor:
-            i = joining[joined]
-            joined += 1
-            gain = (covers[i] & uncovered).bit_count()
-            if gain:
-                push(gain, i)
-        while heap and n_covered + _EPS < target:
-            stale, _, _, i = heapq.heappop(heap)
-            gain = (covers[i] & uncovered).bit_count()
-            if gain == -stale:
-                selected.append(patterns[i])
-                uncovered &= ~covers[i]
-                n_covered += gain
-            elif gain:
-                push(gain, i)
+        pool = [i for i, p in enumerate(patterns) if p.prevalence + _EPS >= floor]
+        pool = [i for i in pool if covers[i] & uncovered]
+        while pool and n_covered + _EPS < target:
+            i = max(pool, key=rank)
+            selected.append(patterns[i])
+            n_covered += (covers[i] & uncovered).bit_count()
+            uncovered &= ~covers[i]
+            pool = [j for j in pool if covers[j] & uncovered]
         if n_covered + _EPS >= target:
             break
         floor = next((step for step in schedule if step < floor), None)

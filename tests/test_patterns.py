@@ -641,11 +641,14 @@ def test_training_stage_views_match_reference(monkeypatch, dataset, widest):
         assert_matches_reference(view, config)
 
 
+def bits_record(values, country="x"):
+    return rec(dict(zip(("C", "EX", "G"), map(float, values))), country=country)
+
+
 def bits_view(rows):
     """rows: ((C, EX, G) values, label); one cut point at 0.5 on each."""
     records = [
-        (rec(dict(zip(("C", "EX", "G"), map(float, values))), country=f"c{i}"), label)
-        for i, (values, label) in enumerate(rows)
+        (bits_record(values, country=f"c{i}"), label) for i, (values, label) in enumerate(rows)
     ]
     return binarize(records, [CutPoint(code, 0.5) for code in ("C", "EX", "G")])
 
@@ -692,6 +695,76 @@ def test_equal_gains_go_to_homogeneity_before_degree():
     assert [p.literals for p in dnf.patterns] == [
         (Literal("EX", ">=", 0.5), Literal("G", ">=", 0.5))
     ]
+    assert_matches_reference(view, config)
+
+
+def test_second_pick_uses_the_recounted_gain():
+    # C, EX and G are the only primes, covering 5, 4 and 3 of the eight
+    # positives. Once C is picked, EX still reaches one uncovered positive
+    # and G three, so G goes second and EX is never needed.
+    rows = [((1, 1, 0), True)] * 3 + [((1, 0, 0), True)] * 2
+    rows += [((0, 1, 1), True)] + [((0, 0, 1), True)] * 2 + [((0, 0, 0), False)]
+    view = bits_view(rows)
+    config = MiningConfig(min_prevalence=0.3, relaxation_schedule=())
+    primes = [p.literals for p in enumerate_patterns(view, config)]
+    assert primes == [(Literal(code, ">=", 0.5),) for code in ("C", "EX", "G")]
+    dnf = select_dnf(view, config)
+    assert [p.literals for p in dnf.patterns] == [primes[0], primes[2]]
+    assert dnf.uncovered == ()
+    assert_matches_reference(view, config)
+
+
+@pytest.mark.parametrize(
+    "rows, min_homogeneity, winner, runner_up",
+    [
+        # The relaxed floor adds G (homogeneity 0.5) and (C, EX) (1.0), each
+        # reaching the one positive left uncovered: homogeneity wins.
+        (
+            [((1, 1, 1), True), ((1, 0, 0), False), ((0, 0, 0), True), ((0, 1, 0), False),
+             ((0, 0, 0), True), ((0, 1, 0), False), ((1, 0, 1), False)],
+            0.5,
+            (Literal("C", ">=", 0.5), Literal("EX", ">=", 0.5)),
+            (Literal("G", ">=", 0.5),),
+        ),
+        # G <= 0.5 and (C <= 0.5, EX >= 0.5) are both pure: fewer literals win.
+        (
+            [((1, 0, 1), True), ((1, 1, 1), False), ((0, 1, 0), True), ((0, 0, 1), False),
+             ((1, 0, 1), True)],
+            0.6,
+            (Literal("G", "<=", 0.5),),
+            (Literal("C", "<=", 0.5), Literal("EX", ">=", 0.5)),
+        ),
+        # EX <= 0.5 and G >= 0.5 are both pure single literals: enumeration
+        # order wins. C >= 0.5 reaches the same positive at homogeneity 0.5.
+        (
+            [((1, 0, 1), True), ((1, 1, 0), False), ((0, 1, 0), True), ((0, 1, 0), True)],
+            0.5,
+            (Literal("EX", "<=", 0.5),),
+            (Literal("G", ">=", 0.5),),
+        ),
+    ],
+    ids=["homogeneity", "degree", "order"],
+)
+def test_equal_gains_after_a_relaxation_go_to_homogeneity_degree_then_order(
+    rows, min_homogeneity, winner, runner_up
+):
+    # One pick at the 0.5 floor leaves one positive, which only patterns
+    # joining at the relaxed floor reach, each with gain 1.
+    view = bits_view(rows)
+    config = MiningConfig(
+        max_degree=2, min_prevalence=0.5, min_homogeneity=min_homogeneity,
+        relaxation_schedule=(0.0,),
+    )
+    dnf = select_dnf(view, config)
+    assert dnf.relaxations == (0.0,)
+    assert dnf.uncovered == ()
+    assert len(dnf.patterns) == 2 and dnf.patterns[1].literals == winner
+    relaxed = {p.literals: p for p in enumerate_patterns(view, replace(config, min_prevalence=0.0))}
+    records = [bits_record(values) for values, label in rows if label]
+    left = [r for r in records if not dnf.patterns[0].matches(r)]
+    assert len(left) == 1
+    for literals in (winner, runner_up):
+        assert relaxed[literals].matches(left[0]) and relaxed[literals].prevalence < 0.5
     assert_matches_reference(view, config)
 
 
