@@ -4,7 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from ladrating import CountryRecord, DEFAULT_SCALE, Dataset, classify, import_decision_tree
+from ladrating import (
+    CountryRecord,
+    DEFAULT_SCALE,
+    Dataset,
+    classify,
+    export_decision_tree,
+    import_decision_tree,
+    serialize_dataset,
+    split_dataset,
+    train_cascade,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 TREE_DIR = REPO_ROOT / "data" / "trees"
@@ -24,6 +34,20 @@ def make_record(country: str, values: dict, rating=None, year: int = 2012) -> Co
 @pytest.fixture(scope="session")
 def tree_2012_model():
     return import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False)
+
+
+@pytest.fixture(scope="session")
+def noisy_tree(tmp_path_factory):
+    """A model trained on `noisy_dataset(0)` (a 0.65 split), its exported
+    tree as `noisy.tree.txt` and the dataset as `noisy.csv`: (tree path,
+    data path, model). Its tables hold many literals per code."""
+    root = tmp_path_factory.mktemp("noisy")
+    dataset = split_dataset(noisy_dataset(0), 0.65, 0)
+    model = train_cascade(dataset)
+    tree, data = root / "noisy.tree.txt", root / "noisy.csv"
+    tree.write_text(export_decision_tree(model))
+    data.write_text(serialize_dataset(dataset))
+    return tree, data, model
 
 
 @pytest.fixture(scope="session")

@@ -389,12 +389,40 @@ def _first_match_labels(model, records):
     return [table[i][0] for i in first_match(model, codes, value_matrix(records, codes)).tolist()]
 
 
+def _kernels(model):
+    """The model's own per-record kernel, then both kernels built afresh
+    from its table: the rank masks and the compiled function."""
+    table = model._first_match
+    return (
+        model._first_match_index,
+        cascade_module._rank_first_match(table),
+        cascade_module._compile_first_match(table),
+    )
+
+
+def _built_kernel(model):
+    """The names of the kernels the model builds on its first `classify`."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_rank_first_match", "_compile_first_match"):
+            kernel = getattr(cascade_module, name)
+            mp.setattr(cascade_module, name, lambda t, name=name, kernel=kernel: built.append(name) or kernel(t))
+        classify(model, rec("probe", {}))
+    return built
+
+
+def _noisy_model():
+    return train_cascade(PINNED_DATASETS["noisy-0"]())
+
+
 def _assert_batch_agrees(model, records):
     """`classify`, `first_match` and both reference walks give the same
-    labels, and the compiled table the same entry indices as `first_match`."""
+    labels, and the model's kernel, the rank kernel and the compiled table
+    the same entry indices as `first_match`."""
     codes = sorted({code for _, entry in model._first_match for code, _, _ in entry})
     index = first_match(model, codes, value_matrix(records, codes)).tolist()
-    assert [model._first_match_index(r.values.get) for r in records] == index
+    for kernel in _kernels(model):
+        assert [kernel(r.values.get) for r in records] == index
     labels = [classify(model, r) for r in records]
     assert [model._first_match[i][0] for i in index] == labels
     assert labels == [_first_match_walk(model, r) for r in records]
@@ -718,7 +746,8 @@ class TestFirstMatch:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cascade_module, "_BLOCK_ROWS", block_rows)
                 index = first_match(other, codes, values).tolist()
-            assert index == [other._first_match_index(r.values.get) for r in probes]
+            for kernel in _kernels(other):
+                assert index == [kernel(r.values.get) for r in probes]
 
 
 class TestCompiledTable:
@@ -823,18 +852,25 @@ class TestCompiledTable:
         ]
         _assert_batch_agrees(model, probes)
 
+    @pytest.mark.parametrize("make, kernel", [
+        (lambda: import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False),
+         "_compile_first_match"),
+        (_noisy_model, "_rank_first_match"),
+    ], ids=["tree-2012", "noisy"])
     @pytest.mark.parametrize(
         "duplicate",
         [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy, replace],
         ids=["pickle", "copy", "deepcopy", "replace"],
     )
-    def test_classified_model_still_copies(self, duplicate):
-        model = import_decision_tree(tree_text(2012), DEFAULT_SCALE, 2012, strict=False)
+    def test_classified_model_still_copies(self, duplicate, make, kernel):
+        # A copy builds its own kernel, of the same kind.
+        model = make()
         probes = _threshold_probes(model)
         before = [classify(model, r) for r in probes]
         assert "_first_match_index" in vars(model)
         again = duplicate(model)
         assert again == model
+        assert _built_kernel(again) == [kernel]
         assert [classify(again, r) for r in probes] == before
 
     @pytest.mark.parametrize(
@@ -867,8 +903,10 @@ class TestCompiledTable:
         assert [classify(trained, r) for r in probes] == ["AAA", "BM"]
         assert tables == [trained._first_match]
 
-    def test_compiled_function_is_freed_without_the_collector(self):
-        model = train_cascade(three_class_dataset())
+    @pytest.mark.parametrize("make", [three_class_dataset, PINNED_DATASETS["noisy-0"]],
+                             ids=["compiled", "ranks"])
+    def test_kernel_is_freed_without_the_collector(self, make):
+        model = train_cascade(make())
         classify(model, rec("a", {"G": 1.0}))
         freed = weakref.ref(model._first_match_index)
         enabled = gc.isenabled()
@@ -879,3 +917,75 @@ class TestCompiledTable:
         finally:
             if enabled:
                 gc.enable()
+
+
+#: NaN, signed zeros, infinities and grid values, as floats or `np.float64`.
+rank_thresholds = st.builds(
+    lambda t, wrap: np.float64(t) if wrap else t,
+    st.sampled_from((NAN, 0.0, -0.0, 1.0, 2.0, INF, -INF)),
+    st.booleans(),
+)
+rank_literals = st.builds(
+    Literal, st.sampled_from(CODES), st.sampled_from((">=", "<=")), rank_thresholds
+)
+#: Ints, bools and `np.float64` besides floats, NaN among them.
+rank_values = st.sampled_from((NAN, -INF, INF, -1, 0, 1, 2, 3, True, False, 0.5, -0.0)) | st.builds(
+    np.float64, st.sampled_from((NAN, -0.0, 0.0, 1.0, 1.5, 2.0, INF, -INF))
+)
+rank_records = st.lists(
+    st.dictionaries(st.sampled_from(CODES), rank_values).map(lambda v: rec("probe", v)), max_size=8
+)
+
+
+class TestRankTable:
+    """`_rank_first_match`: one rank lookup per tested code in place of one
+    compare per literal."""
+
+    @given(hand_built_models(pattern_lists_of(rank_literals)), rank_records)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_compiled_table_and_the_walks(self, model, records):
+        # NaN thresholds, empty boxes (G >= 2 and G <= 1 in one pattern),
+        # zero-literal entries anywhere in the table, and ±0.0, ±inf and
+        # np.float64 thresholds, on int, bool, np.float64 and NaN values.
+        _assert_batch_agrees(model, records + _threshold_probes(model))
+
+    @pytest.mark.parametrize("case", ["noisy-0", "noisy-1", "noisy-2"])
+    def test_noisy_models_use_ranks(self, case):
+        assert _built_kernel(train_cascade(PINNED_DATASETS[case]())) == ["_rank_first_match"]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("year", TREE_YEARS)
+    def test_published_trees_compile(self, year, policy):
+        tree = import_decision_tree(tree_text(year), DEFAULT_SCALE, year, strict=False)
+        assert _built_kernel(_with_policy(tree, policy)) == ["_compile_first_match"]
+
+    @pytest.mark.parametrize("make", [
+        *(PINNED_DATASETS[f"nested-{s}"] for s in range(3)),
+        *(lambda y=y: published_tree_dataset(y, seed=0) for y in TREE_YEARS),
+    ], ids=[f"nested-{s}" for s in range(3)] + [f"published-{y}" for y in TREE_YEARS])
+    def test_nested_and_published_label_models_compile(self, make):
+        assert _built_kernel(train_cascade(make())) == ["_compile_first_match"]
+
+    def test_rank_model_compiles_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cascade_module, "_compile_first_match", calls.append)
+        monkeypatch.setattr(cascade_module, "compile", calls.append, raising=False)
+        model = _noisy_model()
+        probes = _threshold_probes(model)
+        assert [classify(model, r) for r in probes] == [_table_walk(model, r) for r in probes]
+        assert calls == []
+
+    def test_reads_each_tested_code_once_per_record(self):
+        model = _noisy_model()
+        tested = list(dict.fromkeys(code for _, entry in model._first_match for code, _, _ in entry))
+        assert len(tested) == 4
+
+        class LoggedValues(dict):
+            def get(self, code, default=None):
+                reads.append(code)
+                return super().get(code, default)
+
+        for probe in _threshold_probes(model):
+            reads = []
+            classify(model, rec(probe.country_id, LoggedValues(probe.values)))
+            assert reads == tested

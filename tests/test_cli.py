@@ -25,6 +25,7 @@ from ladrating.cli import (
     EXIT_PARSE,
     main,
 )
+from ladrating import cascade
 from ladrating.cascade import TOOL_VERSION
 from ladrating.synthetic import clustered_dataset, nested_dataset
 
@@ -485,6 +486,20 @@ def test_data_output_matches_per_record_classify(year, command, fallback, tmp_pa
     kind = "suggested" if command == "suggest" else "classified"
     expected = "".join(
         f"{r.country_id},{r.year},{kind},{classify(model, r) or 'UNCLASSIFIED'}\n"
+        for r in load_dataset(data.read_text()).records
+    )
+    assert capsys.readouterr().out == expected
+
+
+def test_data_output_on_a_trained_noisy_tree_matches_library_classify(noisy_tree, monkeypatch, capsys):
+    # The exported tree of a model trained on weak-signal data has many
+    # literals per code, so the CLI rates it through the rank kernel and
+    # compiles nothing.
+    tree, data, model = noisy_tree
+    monkeypatch.setattr(cascade, "_compile_first_match", None)
+    assert main(["classify", "--model", str(tree), "--data", str(data)]) == EXIT_OK
+    expected = "".join(
+        f"{r.country_id},{r.year},classified,{classify(model, r) or 'UNCLASSIFIED'}\n"
         for r in load_dataset(data.read_text()).records
     )
     assert capsys.readouterr().out == expected

@@ -57,14 +57,17 @@ def test_import_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("command", [
-    "classify-data", "classify-values", "suggest", "import-tree", "export-tree", "report-keyvars",
+    "classify-data", "classify-noisy-tree", "classify-values", "suggest", "import-tree",
+    "export-tree", "report-keyvars",
 ])
-def test_command_does_not_load_numpy(command, tmp_path):
+def test_command_does_not_load_numpy(command, tmp_path, noisy_tree):
     data = tmp_path / "unrated.csv"
     data.write_text(UNRATED_CSV, encoding="utf-8")
     tree = ["--model", str(TREE_DIR / "tree_2015.txt"), "--lenient"]
     argv = {
         "classify-data": ["classify", *tree, "--data", str(data)],
+        # A trained tree with many literals per code, rated through ranks.
+        "classify-noisy-tree": ["classify", "--model", str(noisy_tree[0]), "--data", str(noisy_tree[1])],
         "classify-values": ["classify", *tree, "--country-values", "U=80,G=60000"],
         "suggest": ["suggest", *tree, "--data", str(data)],
         "import-tree": ["import-tree", "--file", str(TREE_DIR / "tree_2012.txt"), "--year", "2012",
