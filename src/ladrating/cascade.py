@@ -11,7 +11,7 @@ row under the unclassified policy).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, groupby, zip_longest
@@ -43,16 +43,13 @@ _BLOCK_ROWS = 16384
 
 #: `classify` runs a model's table through `_rank_first_match` when its
 #: literal occurrences are at least this many times the codes it tests, and
-#: through `_compile_first_match` otherwise. Compiling costs about 4 µs per
-#: literal, building the rank masks about a sixth of that; per record,
-#: compiled code pays per entry it walks and the rank kernel per code.
-#: Medians of CPU time per model on a 2-vCPU Xeon VM, seed-0 benchmark
-#: inputs. Compiled wins: on the published trees (6–8 literals per code),
-#: 0.7 against 3.1 µs per record; on models trained on 100 published-tree
-#: labels (9–14), 0.9 against 2.6 µs; on train-nested (15), 0.39 against
-#: 0.80 ms for build plus 3,000 records. Ranks win on every train-noisy
-#: model (64–94): 1.1 against 2.3 ms for build plus 1,050 records, at
-#: 0.9 µs per record either way.
+#: through `_compile_first_match` otherwise. Per record, compiled code makes
+#: one compare per literal of each entry it walks, up to the deciding one,
+#: and the rank kernel one read, one bisect and one mask AND per tested
+#: code; building the rank masks costs a fraction of a compile. Compiled
+#: code wins per record on the published trees and on models trained on
+#: published-tree or nested labels (6–15 literals per code), the rank
+#: kernel on every model trained on weak-signal data (64–94).
 _RANK_LITERALS_PER_CODE = 32
 
 _NAN = math.nan
@@ -232,57 +229,65 @@ def _rank_first_match(table: Sequence[tuple[Optional[str], tuple[Literal, ...]]]
     tested code instead of one compare per literal, and with no code
     generated.
 
-    Entry e is bit e of an int. Per tested code, T (`thresholds`) holds the
-    sorted distinct non-NaN thresholds, and a present value's rank is
-    `bisect_left(T, x) + bisect_right(T, x)`: `x >= T[k]` holds exactly
-    when the rank is at least 2k+1, and `x <= T[k]` exactly when it is at
-    most 2k+1. So an entry's literals on the code hold on one interval of
-    ranks, its box; an empty box or a NaN threshold holds on none. A
-    prefix-XOR sweep over the boxes' ends gives one mask per rank: the
-    entries whose box holds it, plus every entry that does not test the
-    code, which alone make the mask of a missing or NaN value. The answer
-    is the lowest set bit of the AND of one mask per code, so each tested
+    Per tested code, T holds the sorted distinct non-NaN thresholds. A
+    present value's rank is 2k+1 when it equals T[k] and 2k otherwise, k
+    the thresholds below it, so `x >= T[k]` holds exactly at ranks from
+    2k+1 up and `x <= T[k]` at ranks up to 2k+1. An entry's literals on the
+    code thus hold on one interval of ranks, its box; an empty box or a NaN
+    threshold holds on none. A prefix-XOR sweep over the boxes' ends gives
+    one mask per rank: the entries whose box holds it, plus every entry
+    that does not test the code, which alone make the mask of a missing or
+    NaN value, since no bisect places a NaN.
+
+    The rank of a float, or of an int that a float represents exactly, is
+    one `bisect_right` in `edges`: each T[k] followed by
+    `math.nextafter(T[k], inf)`, the float just above it, which +inf lacks.
+    Edges may repeat, when two thresholds are adjacent floats.
+
+    Entry e is bit n-1-e of the masks, n the entries, so the first entry
+    that holds is n minus the `bit_length` of the AND of one mask per code;
+    the fallback entry tests no code, so that AND is never 0. Each tested
     code is read once per record, in first-use order.
     """
-    tests: dict[str, list[tuple[int, Literal]]] = {}
+    n = len(table)
+    everyone = (1 << n) - 1
+    tests: dict[str, list[tuple[int, Literal]]] = {}  # per code: (entry's bit, literal)
     for e, (_, literals) in enumerate(table):
+        bit = 1 << (n - 1 - e)
         for lit in literals:
-            tests.setdefault(lit.indicator, []).append((e, lit))
-    everyone = (1 << len(table)) - 1
+            tests.setdefault(lit.indicator, []).append((bit, lit))
     codes = []
     for code, entries in tests.items():
         thresholds = sorted(t for t in {float(lit.threshold) for _, lit in entries} if t == t)
+        rank = {t: 2 * k + 1 for k, t in enumerate(thresholds)}  # of a value equal to t
         top = 2 * len(thresholds)
         boxes: dict[int, tuple[int, int]] = {}
-        for e, lit in entries:
-            lo, hi = boxes.get(e, (0, top))
+        for bit, lit in entries:
+            lo, hi = boxes.get(bit, (0, top))
             t = float(lit.threshold)
             if t != t:
                 lo, hi = 1, 0
-            elif lit.direction == ">=":
-                lo = max(lo, 2 * bisect_left(thresholds, t) + 1)
+            elif lit.direction == ">=":  # conditionals, not max/min calls, which cost more
+                lo = rank[t] if rank[t] > lo else lo
             else:
-                hi = min(hi, 2 * bisect_left(thresholds, t) + 1)
-            boxes[e] = lo, hi
+                hi = rank[t] if rank[t] < hi else hi
+            boxes[bit] = lo, hi
         flips = [0] * (top + 2)
-        missing = everyone
-        for e, (lo, hi) in boxes.items():
-            missing &= ~(1 << e)
+        for bit, (lo, hi) in boxes.items():
             if lo <= hi:
-                flips[lo] ^= 1 << e
-                flips[hi + 1] ^= 1 << e
+                flips[lo] ^= bit
+                flips[hi + 1] ^= bit
+        missing = everyone - sum(boxes)  # the entries that do not test the code
         masks = list(accumulate(flips[:-1], xor, initial=missing))[1:]
-        codes.append((code, thresholds, masks, missing))
+        edges = sorted(thresholds + [math.nextafter(t, math.inf) for t in thresholds if t < math.inf])
+        codes.append((code, edges, masks, missing))
 
     def first_match_index(get):
         held = everyone
-        for code, thresholds, masks, missing in codes:
+        for code, edges, masks, missing in codes:
             x = get(code, _NAN)
-            if x == x:
-                held &= masks[bisect_left(thresholds, x) + bisect_right(thresholds, x)]
-            else:
-                held &= missing
-        return (held & -held).bit_length() - 1
+            held &= masks[bisect_right(edges, x)] if x == x else missing
+        return n - held.bit_length()
 
     return first_match_index
 
@@ -385,7 +390,8 @@ def classify(model: CascadeModel, record: CountryRecord) -> Optional[str]:
     before the first entry that tests it, so a record decided early reads
     only the codes of the entries up to the deciding one. Tables with many
     (`_RANK_LITERALS_PER_CODE`) run the rank kernel (`_rank_first_match`),
-    which reads every tested code once and makes two bisects per code. The
+    which reads every tested code once, makes one bisect per present value
+    and finds the first matching entry from one `bit_length`. The
     references both must agree with are the stage walks over
     `Literal.evaluate`: `ClassDnf.matches`, and the oracles in the tests
     and the benchmark.

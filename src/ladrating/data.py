@@ -392,8 +392,9 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 
 def format_value(v: float) -> str:
-    """Shortest exact decimal form; integers lose the trailing `.0`."""
-    if v == int(v) and abs(v) < 1e16:
+    """Shortest exact decimal form; integers lose the trailing `.0`, and a
+    non-finite value is its `repr` (`inf`, `-inf`, `nan`)."""
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

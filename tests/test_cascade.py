@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import weakref
 from dataclasses import replace
 
@@ -919,10 +920,12 @@ class TestCompiledTable:
                 gc.enable()
 
 
-#: NaN, signed zeros, infinities and grid values, as floats or `np.float64`.
+#: NaN, signed zeros, infinities and grid values, as floats or `np.float64`;
+#: the float just above 1.0, which is the edge after 1.0, and the largest
+#: finite float, whose next float is +inf.
 rank_thresholds = st.builds(
     lambda t, wrap: np.float64(t) if wrap else t,
-    st.sampled_from((NAN, 0.0, -0.0, 1.0, 2.0, INF, -INF)),
+    st.sampled_from((NAN, 0.0, -0.0, 1.0, math.nextafter(1.0, INF), 2.0, sys.float_info.max, INF, -INF)),
     st.booleans(),
 )
 rank_literals = st.builds(
@@ -989,3 +992,18 @@ class TestRankTable:
             reads = []
             classify(model, rec(probe.country_id, LoggedValues(probe.values)))
             assert reads == tested
+
+    def test_bisects_each_present_value_once(self, monkeypatch):
+        model = _noisy_model()
+        tested = {code for _, entry in model._first_match for code, _, _ in entry}
+        bisects = []
+        for name in ("bisect_left", "bisect_right"):
+            bisect = getattr(cascade_module, name, None)
+            monkeypatch.setattr(cascade_module, name,
+                                lambda a, x, bisect=bisect: bisects.append(x) or bisect(a, x), raising=False)
+        classify(model, rec("build", {}))  # builds the kernel; only per-record bisects count
+        for probe in _threshold_probes(model):
+            bisects.clear()
+            classify(model, probe)
+            present = [x for code, x in probe.values.items() if code in tested and x == x]
+            assert sorted(bisects) == sorted(present)

@@ -6,17 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladrating import (
+    CascadeModel,
+    ClassDnf,
     CountryRecord,
     DataFormatError,
     Dataset,
+    DecisionTreeParseError,
     DEFAULT_SCALE,
     Indicator,
+    Literal,
+    Pattern,
+    RatingScale,
+    export_decision_tree,
+    import_decision_tree,
     load_dataset,
     make_registry,
     serialize_dataset,
     split_dataset,
 )
-from ladrating.data import sort_ranks, value_matrix
+from ladrating.data import format_value, sort_ranks, value_matrix
 
 
 class TestLoadDataset:
@@ -84,6 +92,21 @@ class TestLoadDataset:
         )
         ds = load_dataset(text)
         assert load_dataset(serialize_dataset(ds)) == ds
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_values_print_as_repr_and_read_back_as_errors(v):
+    # In-memory values and thresholds that load_dataset and import reject.
+    assert format_value(v) == repr(v)
+    ds = Dataset((CountryRecord("X", 2012, {"G": v}, "A"),), RatingScale(("A", "B")))
+    assert len(ds.fingerprint) == 16
+    with pytest.raises(DataFormatError, match="non-finite value"):
+        load_dataset(serialize_dataset(ds), scale=ds.scale)
+    model = CascadeModel(ds.scale, 2012, (ClassDnf(1, (Pattern((Literal("G", ">=", v),)),)),))
+    tree = export_decision_tree(model)
+    assert f"G >= {v!r}" in tree
+    with pytest.raises(DecisionTreeParseError, match="malformed number"):
+        import_decision_tree(tree, ds.scale, 2012)
 
 
 def test_custom_registry_rejects_duplicate_codes():
