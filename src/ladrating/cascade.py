@@ -453,7 +453,7 @@ def import_decision_tree(
     model notes.
     """
     repairs: list[str] = []
-    parsed = parse_tree_text(source, scale, strict=strict, repairs=repairs)
+    parsed = parse_tree_text(source, scale, repairs=None if strict else repairs)
     stages = []
     for k, label in enumerate(scale.classes[:-1], start=1):
         stages.append(ClassDnf(rating_index=k, patterns=parsed.get(label, ())))

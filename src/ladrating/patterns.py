@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ._numpy import np
@@ -20,7 +20,10 @@ class Pattern:
     """Conjunction of directed threshold literals with coverage statistics.
 
     Statistics are None on patterns imported from published trees, where the
-    training data is unavailable.
+    training data is unavailable. `cover` is the rows of the view the pattern
+    was mined from that it holds for, as a Python int (bit r is row r); it is
+    None on imported and hand-built patterns, and takes no part in equality,
+    hashing or `repr`.
     """
 
     literals: tuple[Literal, ...]
@@ -28,6 +31,7 @@ class Pattern:
     covered_negatives: Optional[int] = None
     prevalence: Optional[float] = None
     homogeneity: Optional[float] = None
+    cover: Optional[int] = field(default=None, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -118,9 +122,10 @@ def enumerate_patterns(
     patterns only); disable for oracle comparisons.
 
     Each literal's truth over the records is a Python int (`_literal_table`);
-    a conjunction's cover is the AND of its literals', its positive count
-    the `bit_count` of the cover ANDed with the positives, and its negative
-    count the rest of the cover's own `bit_count`. Degree by
+    a conjunction's cover is the AND of its literals' (returned as the
+    pattern's `cover`), its positive count the `bit_count` of the cover
+    ANDed with the positives, and its negative count the rest of the
+    cover's own `bit_count`. Degree by
     degree, candidates are tuples of literal indices in
     `itertools.combinations` order over the literals (cut-point column, then
     >= before <=), so the result keeps that order. Only conjunctions
@@ -130,7 +135,8 @@ def enumerate_patterns(
     with a listed proper sub-conjunction is dropped. The smallest pattern
     inside a non-prime conjunction has only non-pattern prefixes, so it is
     always listed. Memory is bounded by the frequent conjunctions of two
-    consecutive degrees, each a key plus ceil(records / 8) bytes of cover.
+    consecutive degrees and the listed patterns, each a key plus
+    ceil(records / 8) bytes of cover.
     """
     total_pos = view.n_positives
     if total_pos == 0:
@@ -149,7 +155,7 @@ def enumerate_patterns(
     # degree's frequent conjunctions (with `prune`, those not patterns).
     keys: list[tuple[int, ...]] = [()]
     covers = [(1 << len(view.record_ids)) - 1]
-    found: list[tuple[tuple[int, ...], int, int]] = []
+    found: list[tuple[tuple[int, ...], int, int, int]] = []
     for degree in range(1, max_degree + 1):
         level = zip(keys, covers)
         keys, covers = [], []
@@ -164,7 +170,7 @@ def enumerate_patterns(
                     continue
                 c_n = extended.bit_count() - c_p
                 if c_p / (c_p + c_n) + _EPS >= min_homogeneity:
-                    found.append((key + (j,), c_p, c_n))
+                    found.append((key + (j,), extended, c_p, c_n))
                     if prune:
                         continue
                 if degree < max_degree:
@@ -173,7 +179,7 @@ def enumerate_patterns(
         if not keys:
             break
     if prune:
-        listed = {key for key, _, _ in found}
+        listed = {entry[0] for entry in found}
         found = [
             entry
             for entry in found
@@ -190,8 +196,9 @@ def enumerate_patterns(
             covered_negatives=c_n,
             prevalence=c_p / total_pos,
             homogeneity=c_p / (c_p + c_n),
+            cover=cover,
         )
-        for key, c_p, c_n in found
+        for key, cover, c_p, c_n in found
     ]
 
 
@@ -215,29 +222,20 @@ def select_dnf(
     coverage. A still-unmet target yields a partial DNF with its uncovered
     records flagged.
 
-    Covers are the Python ints of `_literal_table`, built again here and
-    looked up by each pattern's literals themselves, as `enumerate_patterns`
-    returns patterns, not rows: with prime patterns only, the pool is small
-    enough that per-pattern work in Python costs less than per-pick numpy
-    calls. At each floor the pool is the primes meeting it whose cover
-    still reaches an uncovered positive; a pick recounts every member's
-    gain with one AND and one `bit_count`, then drops the members that
-    cover nothing still uncovered. Enumeration has already paid that once
-    per prime, and picks are few. Memory beyond enumeration's is one cover
-    of ceil(records / 8) bytes per prime pattern.
+    Each prime's positive cover is its enumerated `cover` ANDed with the
+    positive rows, Python ints with bit r for row r: with prime patterns
+    only, the pool is small enough that per-pattern work in Python costs
+    less than per-pick numpy calls. At each floor the pool is the primes
+    meeting it whose cover still reaches an uncovered positive; a pick
+    recounts every member's gain with one AND and one `bit_count`, then
+    drops the members that cover nothing still uncovered. Picks are few.
     """
     target = config.dnf_coverage_target * view.n_positives
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest)
-    literals, rows, uncovered = _literal_table(view)
-    truth = dict(zip(literals, rows))
-    covers = []
-    for p in patterns:
-        cover = uncovered
-        for lit in p.literals:
-            cover &= truth[lit]
-        covers.append(cover)
+    uncovered = int.from_bytes(np.packbits(view.labels, bitorder="little"), "little")
+    covers = [p.cover & uncovered for p in patterns]
     selected: list[Pattern] = []
     n_covered = 0
     relaxations: list[float] = []

@@ -15,7 +15,7 @@ dots drops the second dot (`26.17.5` -> `26.175`), a `/` inside a number is
 read as a decimal point (`0/685` -> `0.685`), and an unknown code whose
 alphabetic prefix is a registered code sheds its trailing digits (`PPP6` ->
 `PPP`). These are print artifacts in the published tables. Both modes reject
-a threshold that overflows a float (`1e999`).
+a threshold that overflows a float (`1e999`) and a text with no stage line.
 """
 
 from __future__ import annotations
@@ -67,20 +67,16 @@ def _repair_code(raw: str, repairs: Optional[list[str]], line: int, col: int) ->
 
 
 def parse_literal(
-    text: str,
-    *,
-    strict: bool = True,
-    repairs: Optional[list[str]] = None,
-    line: int = 0,
-    col: int = 0,
+    text: str, *, repairs: Optional[list[str]] = None, line: int = 0, col: int = 0
 ) -> Literal:
+    """One `CODE op VALUE` literal; strict when `repairs` is None, lenient
+    (repairs appended to the list) otherwise."""
     m = _LITERAL_RE.match(text)
     if not m:
         raise DecisionTreeParseError(f"malformed literal {text.strip()!r}", line, col)
     raw_code, op, raw_value = m.groups()
-    log = None if strict else ([] if repairs is None else repairs)
-    code = _repair_code(raw_code, log, line, col)
-    value = _repair_number(raw_value, log, line, col)
+    code = _repair_code(raw_code, repairs, line, col)
+    value = _repair_number(raw_value, repairs, line, col)
     if not math.isfinite(value):
         # `1e999` matches the number grammar but overflows to inf.
         raise DecisionTreeParseError(f"non-finite threshold {raw_value!r}", line, col)
@@ -88,7 +84,7 @@ def parse_literal(
 
 
 def _parse_stage_body(
-    body: str, *, strict: bool, repairs: list[str], line: int, col: int
+    body: str, *, repairs: Optional[list[str]], line: int, col: int
 ) -> tuple[Pattern, ...]:
     """The patterns of one stage's `body`, which starts at 1-based column
     `col` of its line. Parentheses read as blanks, which keeps every
@@ -102,9 +98,7 @@ def _parse_stage_body(
     patterns = []
     for start, end in zip(bounds[::2], bounds[1::2]):
         literals = tuple(
-            parse_literal(
-                part.group(), strict=strict, repairs=repairs, line=line, col=col + part.start()
-            )
+            parse_literal(part.group(), repairs=repairs, line=line, col=col + part.start())
             for part in _PART_RE.finditer(plain, start, end)
         )
         if literals:
@@ -115,18 +109,14 @@ def _parse_stage_body(
 
 
 def parse_tree_text(
-    text: str,
-    scale: RatingScale,
-    *,
-    strict: bool = True,
-    repairs: Optional[list[str]] = None,
+    text: str, scale: RatingScale, *, repairs: Optional[list[str]] = None
 ) -> dict[str, tuple[Pattern, ...]]:
     """Parse the full tree text into label -> patterns (possibly empty).
 
-    Labels not listed in the text are absent from the result. `repairs`
-    collects the lenient-mode fix log.
+    Labels not listed in the text are absent from the result; a text with
+    no stage line at all is an error. Parsing is strict when `repairs` is
+    None and lenient otherwise, with the repair log appended to `repairs`.
     """
-    log = repairs if repairs is not None else []
     stages: dict[str, tuple[Pattern, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -141,7 +131,9 @@ def parse_tree_text(
             raise DecisionTreeParseError(f"duplicate stage for {label!r}", lineno, label_col)
         body = parts[1] if len(parts) > 1 else NO_CASE
         col = label_col + len(stripped) - len(body)  # `body` ends `stripped`
-        stages[label] = _parse_stage_body(body, strict=strict, repairs=log, line=lineno, col=col)
+        stages[label] = _parse_stage_body(body, repairs=repairs, line=lineno, col=col)
+    if not stages:
+        raise DecisionTreeParseError("tree text holds no stage line")
     return stages
 
 

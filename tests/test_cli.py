@@ -517,3 +517,18 @@ def test_suggest_rejects_a_rated_record_and_writes_nothing(tmp_path, capsys):
     ]) == EXIT_PARSE
     assert capsys.readouterr().err == "error: probe007:2012 already carries rating 'AA'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+@pytest.mark.parametrize("text", ["", "# note\n\n"])
+def test_tree_without_a_stage_line_exits_parse_and_writes_nothing(text, lenient, tmp_path, capsys):
+    tree = tmp_path / "empty.txt"
+    tree.write_text(text)
+    classify = ["classify", "--model", str(tree), "--country-values", "G=1"]
+    assert main(classify + lenient) == EXIT_PARSE
+    imported = ["import-tree", "--file", str(tree), "--year", "2012", "--out", str(tmp_path / "m")]
+    assert main(imported + lenient) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree text holds no stage line\n" * 2
+    assert list(tmp_path.iterdir()) == [tree]

@@ -589,9 +589,10 @@ def assert_matches_reference(view, config):
     assert select_dnf(view, config, rating_index=3) == expected
 
 
-def random_view(rng, cuts, n_records):
+def random_records(rng, cuts, n_records):
     """Records over the indicators of `cuts` (code -> thresholds), 20% of
-    values missing, classes drawn at random; at least one positive."""
+    values missing, classes drawn at random; at least one positive. Also
+    returns the cut points of `cuts`."""
     records = []
     for i in range(n_records):
         values = {
@@ -601,7 +602,12 @@ def random_view(rng, cuts, n_records):
         }
         records.append((rec(values, country=f"c{i}"), i == 0 or rng.random() < 0.4))
     cutpoints = [CutPoint(code, t) for code, ts in sorted(cuts.items()) for t in ts]
-    return binarize(records, cutpoints)
+    return records, cutpoints
+
+
+def random_view(rng, cuts, n_records):
+    """The view of `random_records`."""
+    return binarize(*random_records(rng, cuts, n_records))
 
 
 RANDOM_VIEW_CONFIGS = [
@@ -861,3 +867,70 @@ def test_max_degree_is_capped_at_the_literal_groups(monkeypatch):
         assert extended == six_extended
         assert max(map(len, extended)) <= 5
     assert select_dnf(view, huge) == select_dnf(view, six)
+
+
+def assert_covers_are_literal_truth(records, cutpoints, config, prune):
+    view = binarize(records, cutpoints)
+    for p in enumerate_patterns(view, config, prune=prune):
+        holds = [all(lit.evaluate(record) for lit in p.literals) for record, _ in records]
+        assert p.cover == sum(1 << r for r, held in enumerate(holds) if held)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(1, 20),
+    prune=st.booleans(),
+    max_degree=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_view_covers_are_the_rows_each_pattern_holds_for(seed, n_records, prune, max_degree):
+    records, cutpoints = random_records(
+        random.Random(seed), {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, n_records
+    )
+    config = MiningConfig(max_degree=max_degree, min_prevalence=0.0, min_homogeneity=0.5)
+    assert_covers_are_literal_truth(records, cutpoints, config, prune)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 4)), st.booleans()), min_size=1, max_size=12
+    ).filter(lambda rows: any(label for _, label in rows)),
+    thresholds=st.sets(st.sampled_from([0.5, 1.5, 2.5, 3.5]), min_size=1),
+    prune=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_view_of_covers_are_the_rows_each_pattern_holds_for(rows, thresholds, prune):
+    cutpoints = [CutPoint("G", t) for t in sorted(thresholds)]
+    _, records = view_of(rows, cutpoints)
+    config = MiningConfig(min_prevalence=0.0, min_homogeneity=0.5)
+    assert_covers_are_literal_truth(records, cutpoints, config, prune)
+
+
+def test_cover_takes_no_part_in_equality_hash_or_repr():
+    view = random_view(random.Random(5), {"C": [0.5], "G": [0.5, 1.5]}, 12)
+    mined = enumerate_patterns(view, MiningConfig(min_prevalence=0.0))
+    assert mined and all(p.cover is not None for p in mined)
+    for p in mined:
+        bare = replace(p, cover=None)
+        assert bare == p and hash(bare) == hash(p) and repr(bare) == repr(p)
+        assert "cover=" not in repr(p)
+    assert Pattern(literals=mined[0].literals).cover is None
+
+
+def test_select_dnf_builds_one_literal_table(monkeypatch):
+    # Selection reads each prime's cover from enumeration, so it packs the
+    # view only through enumeration's own `_literal_table` call.
+    calls = []
+    literal_table = patterns_module._literal_table
+
+    def counted(view):
+        calls.append(view)
+        return literal_table(view)
+
+    monkeypatch.setattr(patterns_module, "_literal_table", counted)
+    rng = random.Random(17)
+    for config in RANDOM_VIEW_CONFIGS:
+        view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14)
+        calls.clear()
+        select_dnf(view, config)
+        assert len(calls) == 1 and calls[0] is view

@@ -73,6 +73,13 @@ class TestImport:
             import_decision_tree(text, DEFAULT_SCALE, 2012, strict=strict)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("text", ["", "# note\n\n"])
+    def test_text_without_a_stage_line_is_rejected(self, text, strict):
+        with pytest.raises(DecisionTreeParseError) as exc:
+            import_decision_tree(text, DEFAULT_SCALE, 2012, strict=strict)
+        assert str(exc.value) == "tree text holds no stage line"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -107,21 +114,21 @@ class TestImport:
 class TestLiteralRepairs:
     def test_double_dot(self):
         repairs = []
-        lit = parse_literal("GS>=26.17.5", strict=False, repairs=repairs)
+        lit = parse_literal("GS>=26.17.5", repairs=repairs)
         assert lit.threshold == 26.175
         assert repairs
 
     def test_slash_for_dot(self):
-        lit = parse_literal("PPP>=0/685", strict=False)
+        lit = parse_literal("PPP>=0/685", repairs=[])
         assert lit.threshold == 0.685
 
     def test_trailing_digit_code(self):
-        lit = parse_literal("I5<= 5.66", strict=False)
+        lit = parse_literal("I5<= 5.66", repairs=[])
         assert lit.indicator == "I"
 
     def test_unrepairable_number(self):
         with pytest.raises(DecisionTreeParseError):
-            parse_literal("G >= 1.2.3.4x", strict=False)
+            parse_literal("G >= 1.2.3.4x", repairs=[])
 
 
 class TestExport:
