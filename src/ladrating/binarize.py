@@ -2,9 +2,9 @@
 
 A cut-point is a threshold placed between two observed values of one
 indicator that belong to opposite binary classes; the induced intervals are
-pure. Each cut-point contributes one Boolean column meaning "value >=
-threshold"; a missing value, an in-memory NaN included, makes the column
-false (the condition cannot be certified).
+pure. Each cut-point contributes two Boolean rows, its literals "value >=
+threshold" and "value <= threshold"; a missing value, an in-memory NaN
+included, makes both false (the condition cannot be certified).
 """
 
 from __future__ import annotations
@@ -56,16 +56,21 @@ class Literal(NamedTuple):
 class BinaryView:
     """Boolean encoding of labeled records over an ordered cut-point list.
 
-    `matrix[i, j]` is the >=-literal of cut-point j evaluated on record i,
-    `at_most[i, j]` its <=-literal (same threshold); a missing value makes
-    both false, as in `Literal.evaluate`.
+    `truth[i, r]` is literal i of `literals` evaluated on record r: row 2j
+    is cut-point j's >=-literal, row 2j+1 its <=-literal (same threshold),
+    mining's literal order. A missing value makes both false, as in
+    `Literal.evaluate`.
     """
 
     record_ids: tuple[str, ...]
-    matrix: np.ndarray  # bool, shape (n_records, n_cutpoints)
-    at_most: np.ndarray  # bool, same shape
+    truth: np.ndarray  # bool, shape (2 * n_cutpoints, n_records)
     labels: np.ndarray  # bool, shape (n_records,)
     cutpoints: tuple[CutPoint, ...]
+
+    @property
+    def literals(self) -> tuple[Literal, ...]:
+        """The literal of each `truth` row."""
+        return tuple(Literal(code, d, t) for code, t in self.cutpoints for d in (">=", "<="))
 
     @property
     def n_positives(self) -> int:
@@ -189,25 +194,29 @@ def all_candidate_cutpoints(
 def binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryView:
     """Encode labeled records over `cutpoints`.
 
-    Compares the value-matrix column of each cut-point's indicator with its
-    threshold (plain pairs are read into a `StageRecords` first). A value
-    is missing when the record has none or an in-memory NaN: both literals
-    are false there, as `Literal.evaluate`, `classify` and `first_match`
-    have them, since NaN fails both compares. Memory is the two records x
-    cut-points bool matrices plus one float matrix of the same shape while
-    comparing.
+    Gathers the value-matrix column of each cut-point's indicator as one row
+    and compares it with the threshold both ways, into the even and odd
+    rows of `truth` (plain pairs are read into a `StageRecords` first). A
+    value is missing when the record has none or an in-memory NaN: both
+    literals are false there, as `Literal.evaluate`, `classify` and
+    `first_match` have them, since NaN fails both compares. Memory is the
+    2 x cut-points x records bool matrix plus one cut-points x records float
+    matrix while comparing.
     """
     stage = _as_stage(records, [cp.indicator for cp in cutpoints])
     column = {code: j for j, code in enumerate(stage.codes)}
-    values = stage.values[:, [column[cp.indicator] for cp in cutpoints]]
-    thresholds = np.array([cp.threshold for cp in cutpoints], dtype=float)
-    return BinaryView(
-        stage.record_ids,
-        values >= thresholds,
-        values <= thresholds,
-        stage.labels,
-        tuple(cutpoints),
-    )
+    values = stage.values.T.take([column[cp.indicator] for cp in cutpoints], axis=0)
+    thresholds = np.array([cp.threshold for cp in cutpoints], dtype=float)[:, None]
+    truth = np.empty((2 * len(cutpoints), len(stage)), dtype=bool)
+    np.greater_equal(values, thresholds, out=truth[0::2])
+    np.less_equal(values, thresholds, out=truth[1::2])
+    return BinaryView(stage.record_ids, truth, stage.labels, tuple(cutpoints))
+
+
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D bool array as a Python int, bit r for column r."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 #: Byte budget of one block of pair intervals while repeats are checked.
@@ -285,11 +294,7 @@ def minimize_cutpoints(
         return []
     chosen = _greedy_cover(lo, hi, len(candidates))
     if n_pairs * len(candidates) <= exact_cell_limit:
-        covers = _covers(lo, hi, np.arange(len(candidates))[:, None, None])
-        masks = [
-            int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(covers, axis=1, bitorder="little")
-        ]
+        masks = _bit_rows(_covers(lo, hi, np.arange(len(candidates))[:, None, None]))
         chosen = _exact_cover(masks, (1 << n_pairs) - 1, chosen)
     return sorted(candidates[c] for c in chosen)
 
@@ -307,12 +312,11 @@ def _distinct_pairs(
     first = np.array([codes.index(code) for code in dict.fromkeys(codes)], dtype=np.int32)
     # Per indicator and record, the candidate index past its true prefix.
     # Indicator-major, so reductions over indicators are row operations.
-    ends = np.add.reduceat(view.matrix, first, axis=1, dtype=np.int32) + first
-    ends = np.ascontiguousarray(ends.T)
+    ends = np.add.reduceat(view.truth[0::2], first, axis=0, dtype=np.int32) + first[:, None]
     if not len(pos) or not len(neg):
         return ends[:, :0], ends[:, :0]
     for seed in range(_MAX_SEEDS):
-        record_hash = _record_hashes(ends, first, view.matrix.shape[1], seed)
+        record_hash = _record_hashes(ends, first, len(codes), seed)
         pair_hash = (record_hash[pos, None] ^ record_hash[None, neg]).ravel()
         # Equal ranks hash to 0 under every seed, so confirming the pairs
         # that hash to 0 finds every inseparable pair.

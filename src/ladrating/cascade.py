@@ -313,15 +313,18 @@ def train_cascade(
     (`StageRecords`), and every stage reads them under its own labels.
     Boundaries where one side is empty become empty stages with a note.
     Relaxations and uncovered positives are recorded in the model notes.
-    A NaN or infinite value anywhere in the dataset is a DataFormatError,
-    as in `load_dataset`, and so is a dataset with no indicator code of
-    `DEFAULT_REGISTRY`.
+    A NaN or infinite value or a rating label off the scale anywhere in the
+    dataset is a DataFormatError, as in `load_dataset`, and so is a dataset
+    with no indicator code of `DEFAULT_REGISTRY`.
     """
+    scale = dataset.scale
     for record in dataset.records:
         for code, v in record.values.items():
             if not math.isfinite(v):
                 raise DataFormatError(f"{record.record_id} ({code}): non-finite value {v!r}")
-    scale = dataset.scale
+        label = record.observed_rating
+        if label is not None and label not in scale:
+            raise DataFormatError(f"{record.record_id}: unknown rating label {label!r}")
     train = dataset.train_records
     observed = {r.observed_rating for r in train}
     if len(observed) < 2:
@@ -334,7 +337,7 @@ def train_cascade(
 
     # Stage k's positives are the records rated in classes 1..k: rank < k.
     index = {label: i for i, label in enumerate(scale.classes)}
-    rank = np.array([index.get(r.observed_rating, len(scale)) for r in train], dtype=np.intp)
+    rank = np.array([index[r.observed_rating] for r in train], dtype=np.intp)
     records = StageRecords(train, codes, rank < 1)
 
     stages: list[ClassDnf] = []

@@ -152,8 +152,15 @@ def _emit(out, content: str):
         raise OSError(f"stdout ({exc.encoding}) cannot encode {bad!r}; use --out") from None
 
 
-def _write_bundle(out: Path, model: CascadeModel, fallback: str):
-    _write(out.with_suffix(".tree.txt"), export_decision_tree(model))
+def _bundle_file(out, suffix: str) -> Path:
+    """The file `suffix` names for the bundle prefix `out`: appended, so a
+    prefix with a dot (`fitch.2012`) keeps it."""
+    out = Path(out)
+    return out.with_name(out.name + suffix)
+
+
+def _write_bundle(out, model: CascadeModel, fallback: str):
+    _write(_bundle_file(out, ".tree.txt"), export_decision_tree(model))
     prov = {
         "tool_version": TOOL_VERSION,
         "year": model.year,
@@ -164,7 +171,7 @@ def _write_bundle(out: Path, model: CascadeModel, fallback: str):
         prov["config"] = asdict(model.provenance.config)
     else:
         prov["external"] = True
-    _write(out.with_suffix(".provenance.json"), json.dumps(prov, sort_keys=True, indent=2) + "\n")
+    _write(_bundle_file(out, ".provenance.json"), json.dumps(prov, sort_keys=True, indent=2) + "\n")
 
 
 def _load_model(args) -> CascadeModel:
@@ -236,10 +243,9 @@ def cmd_train(args) -> int:
         raise CoverageError(
             "some stages ship partial" + "".join("\n  " + n for n in model.notes)
         )
-    out = Path(args.out)
-    _write_bundle(out, model, args.fallback)
-    _write(out.with_suffix(".train.log"), "".join(n + "\n" for n in model.notes))
-    print(f"wrote {out.with_suffix('.tree.txt')}")
+    _write_bundle(args.out, model, args.fallback)
+    _write(_bundle_file(args.out, ".train.log"), "".join(n + "\n" for n in model.notes))
+    print(f"wrote {_bundle_file(args.out, '.tree.txt')}")
     return EXIT_OK
 
 
@@ -292,10 +298,9 @@ def cmd_evaluate(args) -> int:
         indent=2,
     )
     if args.out:
-        out = Path(args.out)
-        _write(out.with_suffix(".report.txt"), text)
-        _write(out.with_suffix(".report.json"), machine + "\n")
-        print(f"wrote {out.with_suffix('.report.txt')}")
+        _write(_bundle_file(args.out, ".report.txt"), text)
+        _write(_bundle_file(args.out, ".report.json"), machine + "\n")
+        print(f"wrote {_bundle_file(args.out, '.report.txt')}")
     else:
         _emit(None, text)
     return EXIT_OK
@@ -308,8 +313,8 @@ def cmd_import_tree(args) -> int:
     )
     for note in model.notes:
         print("repair: " + note, file=sys.stderr)
-    _write_bundle(Path(args.out), model, args.fallback)
-    print(f"wrote {Path(args.out).with_suffix('.tree.txt')}")
+    _write_bundle(args.out, model, args.fallback)
+    print(f"wrote {_bundle_file(args.out, '.tree.txt')}")
     return EXIT_OK
 
 

@@ -7,8 +7,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ._numpy import np
-from .binarize import BinaryView, Literal
+from .binarize import BinaryView, Literal, _bit_rows
 from .data import CountryRecord
 from .errors import DataFormatError
 
@@ -20,10 +19,10 @@ class Pattern:
     """Conjunction of directed threshold literals with coverage statistics.
 
     Statistics are None on patterns imported from published trees, where the
-    training data is unavailable. `cover` is the rows of the view the pattern
-    was mined from that it holds for, as a Python int (bit r is row r); it is
-    None on imported and hand-built patterns, and takes no part in equality,
-    hashing or `repr`.
+    training data is unavailable. `cover` is the records of the view the
+    pattern was mined from that it holds for, as a Python int (bit r is
+    record r); it is None on imported and hand-built patterns, and takes no
+    part in equality, hashing or `repr`.
     """
 
     literals: tuple[Literal, ...]
@@ -89,25 +88,6 @@ class MiningConfig:
                 raise DataFormatError(f"{name} must be a number in [0, 1], got {v!r}")
 
 
-def _literal_table(view: BinaryView) -> tuple[list[Literal], list[int], int]:
-    """Both literals of each cut-point column, >= before <=; each one's
-    truth over the records as a Python int (bit r is record r); and the
-    positive records as one more such int.
-
-    The truth is `view.matrix` for a >=-literal and `view.at_most` for a
-    <=-literal, so a missing value holds for neither, as in
-    `Literal.evaluate`. All rows come from one `np.packbits`.
-    """
-    n_cuts = len(view.cutpoints)
-    truth = np.empty((2 * n_cuts + 1, len(view.record_ids)), dtype=bool)
-    truth[0:-1:2] = view.matrix.T
-    truth[1:-1:2] = view.at_most.T
-    truth[-1] = view.labels
-    rows = [int.from_bytes(row, "little") for row in np.packbits(truth, axis=1, bitorder="little")]
-    literals = [Literal(code, d, t) for code, t in view.cutpoints for d in (">=", "<=")]
-    return literals, rows[:-1], rows[-1]
-
-
 def enumerate_patterns(
     view: BinaryView, config: MiningConfig, *, prune: bool = True
 ) -> list[Pattern]:
@@ -121,27 +101,27 @@ def enumerate_patterns(
     is dropped when a proper sub-pattern already meets both floors (prime
     patterns only); disable for oracle comparisons.
 
-    Each literal's truth over the records is a Python int (`_literal_table`);
-    a conjunction's cover is the AND of its literals' (returned as the
-    pattern's `cover`), its positive count the `bit_count` of the cover
-    ANDed with the positives, and its negative count the rest of the
-    cover's own `bit_count`. Degree by
-    degree, candidates are tuples of literal indices in
-    `itertools.combinations` order over the literals (cut-point column, then
-    >= before <=), so the result keeps that order. Only conjunctions
-    covering a positive and meeting the prevalence floor are extended to the
-    next degree, as no extension of another one can be accepted; with
-    `prune` set, patterns are not extended either, and a listed conjunction
-    with a listed proper sub-conjunction is dropped. The smallest pattern
-    inside a non-prime conjunction has only non-pattern prefixes, so it is
-    always listed. Memory is bounded by the frequent conjunctions of two
-    consecutive degrees and the listed patterns, each a key plus
-    ceil(records / 8) bytes of cover.
+    Each literal's truth over the records is a Python int, one per row of
+    `view.truth` (`_bit_rows`); a conjunction's cover is the AND of its
+    literals' (returned as the pattern's `cover`), its positive count the
+    `bit_count` of the cover ANDed with the positives, and its negative
+    count the rest of the cover's own `bit_count`. Degree by degree,
+    candidates are tuples of literal indices in `itertools.combinations`
+    order over `view.literals` (cut point, then >= before <=), so the result
+    keeps that order. Only conjunctions covering a positive and meeting the
+    prevalence floor are extended to the next degree, as no extension of
+    another one can be accepted; with `prune` set, patterns are not extended
+    either, and a listed conjunction with a listed proper sub-conjunction is
+    dropped. The smallest pattern inside a non-prime conjunction has only
+    non-pattern prefixes, so it is always listed. Memory is bounded by the
+    frequent conjunctions of two consecutive degrees and the listed
+    patterns, each a key plus ceil(records / 8) bytes of cover.
     """
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
-    literals, truth, positives = _literal_table(view)
+    literals, truth = view.literals, _bit_rows(view.truth)
+    [positives] = _bit_rows(view.labels[None])
     groups = [lit[:2] for lit in literals]
     n_literals, max_degree = len(literals), config.max_degree
     # A conjunction is frequent when it covers at least this many positives.
@@ -223,9 +203,9 @@ def select_dnf(
     records flagged.
 
     Each prime's positive cover is its enumerated `cover` ANDed with the
-    positive rows, Python ints with bit r for row r: with prime patterns
-    only, the pool is small enough that per-pattern work in Python costs
-    less than per-pick numpy calls. At each floor the pool is the primes
+    positive records, Python ints with bit r for record r: with prime
+    patterns only, the pool is small enough that per-pattern work in Python
+    costs less than per-pick numpy calls. At each floor the pool is the primes
     meeting it whose cover still reaches an uncovered positive; a pick
     recounts every member's gain with one AND and one `bit_count`, then
     drops the members that cover nothing still uncovered. Picks are few.
@@ -234,7 +214,7 @@ def select_dnf(
     floor = config.min_prevalence
     lowest = replace(config, min_prevalence=min((floor, *config.relaxation_schedule)))
     patterns = enumerate_patterns(view, lowest)
-    uncovered = int.from_bytes(np.packbits(view.labels, bitorder="little"), "little")
+    [uncovered] = _bit_rows(view.labels[None])
     covers = [p.cover & uncovered for p in patterns]
     selected: list[Pattern] = []
     n_covered = 0

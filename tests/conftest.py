@@ -2,12 +2,14 @@ import csv
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ladrating import (
     CountryRecord,
     DEFAULT_SCALE,
     Dataset,
+    Literal,
     classify,
     export_decision_tree,
     import_decision_tree,
@@ -29,6 +31,15 @@ def tree_text(year: int) -> str:
 
 def make_record(country: str, values: dict, rating=None, year: int = 2012) -> CountryRecord:
     return CountryRecord(country, year, values, rating)
+
+
+def literal_rows(cutpoints, records) -> tuple[list[Literal], np.ndarray]:
+    """The oracle of a view's rows: per cut point its >=-literal, then its
+    <=-literal, and their truth by `Literal.evaluate` (row i, column r is
+    literal i on record r)."""
+    literals = [Literal(cp.indicator, d, cp.threshold) for cp in cutpoints for d in (">=", "<=")]
+    truth = np.array([[lit.evaluate(r) for r in records] for lit in literals], dtype=bool)
+    return literals, truth.reshape(len(literals), len(records))
 
 
 @pytest.fixture(scope="session")

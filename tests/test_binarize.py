@@ -21,7 +21,9 @@ from ladrating import (
     binarize,
     minimize_cutpoints,
 )
-from ladrating.binarize import LabeledRecords, StageRecords
+from ladrating.binarize import LabeledRecords, StageRecords, _bit_rows
+
+from conftest import literal_rows
 
 
 def rec(values, country="x", year=2012):
@@ -60,10 +62,11 @@ def brute_force_minimum(candidates, records):
     raise AssertionError("unreachable")
 
 
-# Reference cut points and encoding: the per-record dict walks that the
-# value-matrix path replaced, kept verbatim (names prefixed). They read an
-# in-memory NaN as a present value; the new path reads it as missing, so
-# their inputs have NaN values removed (`_without_nan`).
+# Reference cut points: the per-record dict walk that the value-matrix path
+# replaced, kept verbatim (names prefixed). It reads an in-memory NaN as a
+# present value; the new path reads it as missing, so its inputs have NaN
+# values removed (`_without_nan`). The reference encoding evaluates each
+# literal on each record (`literal_rows`).
 def _reference_candidate_cutpoints(records: LabeledRecords, indicator: str) -> list[CutPoint]:
     """All class-boundary cut-points for one indicator, midpoint placement.
 
@@ -96,29 +99,11 @@ def _reference_candidate_cutpoints(records: LabeledRecords, indicator: str) -> l
 
 
 def _reference_binarize(records: LabeledRecords, cutpoints: Sequence[CutPoint]) -> BinaryView:
-    """Encode labeled records over `cutpoints`, one indicator at a time.
-
-    An indicator absent from a record's values is missing; a present value,
-    NaN included, is compared against the thresholds (NaN >= t and NaN <= t
-    are false).
-    """
-    n, m = len(records), len(cutpoints)
-    matrix = np.zeros((n, m), dtype=bool)
-    at_most = np.zeros((n, m), dtype=bool)
-    labels = np.fromiter((label for _, label in records), dtype=bool, count=n)
-    columns: dict[str, list[int]] = {}
-    for j, cp in enumerate(cutpoints):
-        columns.setdefault(cp.indicator, []).append(j)
-    for code, js in columns.items():
-        present = np.fromiter((code in rec.values for rec, _ in records), dtype=bool, count=n)
-        values = np.fromiter(
-            (rec.values.get(code, np.nan) for rec, _ in records), dtype=float, count=n
-        )
-        thresholds = np.array([cutpoints[j].threshold for j in js])
-        matrix[:, js] = (values[:, None] >= thresholds) & present[:, None]
-        at_most[:, js] = (values[:, None] <= thresholds) & present[:, None]
+    """Encode labeled records over `cutpoints` by `Literal.evaluate`."""
+    _, truth = literal_rows(cutpoints, [rec for rec, _ in records])
+    labels = np.fromiter((label for _, label in records), dtype=bool, count=len(records))
     ids = tuple(rec.record_id for rec, _ in records)
-    return BinaryView(ids, matrix, at_most, labels, tuple(cutpoints))
+    return BinaryView(ids, truth, labels, tuple(cutpoints))
 
 
 def _without_nan(records):
@@ -146,9 +131,10 @@ def _reference_minimize(
     bad_pairs: list[tuple[str, str]] = []
     pair_index = 0
     seen_pairs: set[bytes] = set()  # dedupe pairs with identical coverage
+    at_least = view.truth[0::2].T
     for i in pos:
         for j in neg:
-            diff = view.matrix[i] != view.matrix[j]
+            diff = at_least[i] != at_least[j]
             cols = np.flatnonzero(diff)
             if cols.size == 0:
                 bad_pairs.append((view.record_ids[i], view.record_ids[j]))
@@ -241,7 +227,7 @@ def _reference_distinct_pairs(
 
     Raises ContradictionError when some rows are all zero.
     """
-    packed = np.packbits(view.matrix, axis=1)
+    packed = np.packbits(view.truth[0::2].T, axis=1)
     width = packed.shape[1]
     pos_rows, neg_rows = packed[pos], packed[neg]
     per_block = max(1, _BLOCK_BYTES // max(1, len(neg) * width))
@@ -423,6 +409,40 @@ def edge_problems(draw):
     return [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)], candidates
 
 
+# Zeros of both signs, the floats next to 0.0 and 1.0, and NaN: compares
+# that one ulp or the sign of zero decides.
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nan
+)
+
+
+@st.composite
+def edge_rows(draw):
+    """Labeled records over `CODES` with missing values and `EDGE_VALUES`,
+    and cut points in any order, indicators repeated: drawn thresholds plus
+    the records' own candidates (midpoints, or the upper one of two adjacent
+    floats)."""
+    value = st.sampled_from(EDGE_VALUES)
+    rows = draw(
+        st.lists(
+            st.tuples(st.fixed_dictionaries({}, optional={c: value for c in CODES}), st.booleans()),
+            max_size=10,
+        )
+    )
+    records = [(rec(v, country=f"c{i}"), l) for i, (v, l) in enumerate(rows)]
+    threshold = st.sampled_from([v for v in EDGE_VALUES if not math.isnan(v)])
+    cutpoints = draw(st.lists(st.builds(CutPoint, st.sampled_from(CODES), threshold), max_size=8))
+    cutpoints += all_candidate_cutpoints(records, CODES)
+    return records, draw(st.permutations(cutpoints))
+
+
+bool_matrices = st.integers(0, 21).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6).map(
+        lambda rows: np.array(rows, dtype=bool).reshape(len(rows), n)
+    )
+)
+
+
 @st.composite
 def oracle_problems(draw):
     """Labeled records (values repeated across both classes, missing values,
@@ -469,7 +489,7 @@ def _assert_matches_reference(given, records, cutpoints):
     got, want = binarize(given, cutpoints), _reference_binarize(plain, cutpoints)
     assert got.record_ids == want.record_ids
     assert got.cutpoints == want.cutpoints
-    for field in ("matrix", "at_most", "labels"):
+    for field in ("truth", "labels"):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert (a == b).all()
@@ -754,7 +774,8 @@ class TestMinimize:
         assert len(seen) == (len(pos) > 0 and len(neg) > 0)
         for seed, hashes in seen:
             words = module._hash_words(len(candidates), seed)
-            plain = np.bitwise_xor.reduce(np.where(view.matrix, words, np.uint64(0)), axis=1)
+            at_least = view.truth[0::2].T
+            plain = np.bitwise_xor.reduce(np.where(at_least, words, np.uint64(0)), axis=1)
             assert hashes.dtype == np.uint64
             assert hashes.tolist() == plain.tolist()
 
@@ -845,22 +866,24 @@ class TestMinimize:
 
 
 class TestBinarize:
+    # Row 2j of `truth` is cut point j's >=-literal, row 2j+1 its <=-literal;
+    # column r is record r.
     def test_threshold_splits_known_values(self):
         cuts = [CutPoint("G", 5436.0)]
         view = binarize(
             [(rec({"G": 7189.0}), True), (rec({"G": 3166.0}), False)], cuts
         )
-        assert view.matrix[0, 0]
-        assert not view.matrix[1, 0]
+        assert view.truth[0, 0]
+        assert not view.truth[0, 1]
 
     def test_threshold_is_inclusive(self):
         view = binarize([(rec({"G": 5436.0}), True)], [CutPoint("G", 5436.0)])
-        assert view.matrix[0, 0]
+        assert view.truth[0, 0]
 
     def test_missing_is_false_both_ways(self):
         view = binarize([(rec({}), True)], [CutPoint("G", 5436.0)])
-        assert not view.matrix[0, 0]
-        assert not view.at_most[0, 0]
+        assert not view.truth[0, 0]
+        assert not view.truth[1, 0]
 
     @given(
         st.lists(
@@ -877,23 +900,53 @@ class TestBinarize:
         ]
         cuts = [CutPoint(c, t + 0.5) for c in ("G", "EX") for t in range(9)]
         view = binarize(records, cuts)
+        at_least = view.truth[0::2]
         for (i, (ra, _)), (j, (rb, _)) in itertools.permutations(enumerate(records), 2):
             dominates = all(ra.values[c] >= rb.values[c] for c in ("G", "EX"))
             if dominates:
-                assert (view.matrix[i] >= view.matrix[j]).all()
+                assert (at_least[:, i] >= at_least[:, j]).all()
 
     @given(labeled_records, cutpoint_lists)
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_literal_evaluate(self, records, cutpoints):
         view = binarize(records, cutpoints)
-        assert view.matrix.shape == view.at_most.shape == (len(records), len(cutpoints))
+        assert view.truth.shape == (2 * len(cutpoints), len(records))
         for i, (r, label) in enumerate(records):
             assert view.labels[i] == label
             for j, cp in enumerate(cutpoints):
-                assert view.matrix[i, j] == Literal(cp.indicator, ">=", cp.threshold).evaluate(r)
-                assert view.at_most[i, j] == Literal(cp.indicator, "<=", cp.threshold).evaluate(r)
+                assert view.truth[2 * j, i] == Literal(cp.indicator, ">=", cp.threshold).evaluate(r)
+                assert view.truth[2 * j + 1, i] == Literal(cp.indicator, "<=", cp.threshold).evaluate(r)
 
     def test_in_memory_nan_is_missing(self):
         view = binarize([(rec({"G": float("nan")}), True)], [CutPoint("G", 1.0)])
-        assert not view.matrix[0, 0]
-        assert not view.at_most[0, 0]
+        assert not view.truth[0, 0]
+        assert not view.truth[1, 0]
+
+    @given(edge_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_literals_in_mining_order(self, problem):
+        records, cutpoints = problem
+        view = binarize(records, cutpoints)
+        assert view.truth.dtype == bool
+        assert view.truth.shape == (2 * len(cutpoints), len(records))
+        expected = [
+            Literal(cp.indicator, direction, cp.threshold)
+            for cp in cutpoints
+            for direction in (">=", "<=")
+        ]
+        assert list(view.literals) == expected
+        for i, lit in enumerate(view.literals):
+            for r, (record, _) in enumerate(records):
+                assert view.truth[i, r] == lit.evaluate(record)
+
+    @given(bool_matrices)
+    @example(np.zeros((0, 9), dtype=bool))
+    @example(np.zeros((3, 13), dtype=bool))
+    @example(np.ones((2, 17), dtype=bool))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_rows_set_bit_r_for_column_r(self, bits):
+        want = [sum(1 << r for r, bit in enumerate(row) if bit) for row in bits.tolist()]
+        assert _bit_rows(bits) == want
+        assert all(type(row) is int for row in _bit_rows(bits))
+        # A strided view of every other row packs as its copy does.
+        assert _bit_rows(bits[::2]) == want[::2]

@@ -231,6 +231,19 @@ class TestTrain:
         with pytest.raises(DataFormatError, match=r"^b1:2012 \(EX\): non-finite value"):
             train_cascade(Dataset(records=tuple(records)))
 
+    def test_rating_off_the_scale_is_a_format_error(self, monkeypatch):
+        # `load_dataset` rejects such a label; a hand-built dataset must not
+        # train with it ranked below the last class.
+        records = list(three_class_dataset().records)
+        records[2] = rec("b1", {"G": 50.0, "EX": 1.0}, "ZZZ")
+        minimized = []
+        monkeypatch.setattr(
+            cascade_module, "minimize_cutpoints", lambda *a, **k: minimized.append(a) or []
+        )
+        with pytest.raises(DataFormatError, match=r"^b1:2012: unknown rating label 'ZZZ'$"):
+            train_cascade(Dataset(records=tuple(records)))
+        assert minimized == []
+
 
 class TestClassify:
     def test_first_match_wins(self):

@@ -532,3 +532,26 @@ def test_tree_without_a_stage_line_exits_parse_and_writes_nothing(text, lenient,
     assert captured.out == ""
     assert captured.err == "error: tree text holds no stage line\n" * 2
     assert list(tmp_path.iterdir()) == [tree]
+
+
+def test_dotted_bundle_prefixes_keep_their_own_files(tmp_path, capsys):
+    # Each suffix is appended to the prefix: `fitch.2012` and `fitch.2013`
+    # are two bundles, and each classify reads its own sidecar's policy.
+    for year, fallback in ((2012, "fallback-to-last"), (2013, "unclassified")):
+        assert main([
+            "import-tree", "--file", str(TREE_DIR / f"tree_{year}.txt"), "--year", str(year),
+            "--lenient", "--fallback", fallback, "--out", str(tmp_path / f"fitch.{year}"),
+        ]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {tmp_path / f'fitch.{year}.tree.txt'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fitch.2012.provenance.json", "fitch.2012.tree.txt",
+        "fitch.2013.provenance.json", "fitch.2013.tree.txt",
+    ]
+    for year, rating in ((2012, "BM"), (2013, "UNCLASSIFIED")):
+        prov = json.loads((tmp_path / f"fitch.{year}.provenance.json").read_text())
+        assert prov["year"] == year
+        assert main([
+            "classify", "--model", str(tmp_path / f"fitch.{year}.tree.txt"), "--lenient",
+            "--country-values", "EX=1",
+        ]) == EXIT_OK
+        assert capsys.readouterr().out == f"cli,0,classified,{rating}\n"

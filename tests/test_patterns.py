@@ -28,7 +28,7 @@ from ladrating import patterns as patterns_module
 from ladrating.patterns import _EPS
 from ladrating.synthetic import clustered_dataset
 
-from conftest import noisy_dataset
+from conftest import literal_rows, noisy_dataset
 
 
 def rec(values, country="x"):
@@ -355,24 +355,20 @@ def test_select_dnf_covers_agree_with_pattern_matches(
 # once per stage. Verbatim but for the names: every relaxation step
 # re-enumerates, and pruning scans the prime patterns accepted so far. Truth
 # vectors come from `_literal_pool`, the unpacked literal pool enumeration
-# used before it moved to packed bit rows, verbatim but for reading the
-# <=-literal from `BinaryView.at_most`.
+# used before it moved to packed bit rows, but for evaluating each literal
+# on the view's records (`literal_rows`) in place of reading view columns.
 
-def _literal_pool(view: BinaryView) -> list[tuple[Literal, np.ndarray]]:
-    """Both directions per cut-point column, with their truth vectors.
-
-    The >=-literal is the `matrix` column; the <=-literal (same threshold)
-    is the `at_most` column. Order: column index, >= before <=.
+def _literal_pool(view: BinaryView, records) -> list[tuple[Literal, np.ndarray]]:
+    """Both directions per cut point, with their truth vectors over
+    `records`, the view's labeled records. Order: cut point, >= before <=.
     """
-    pool = []
-    for j, cp in enumerate(view.cutpoints):
-        pool.append((Literal(cp.indicator, ">=", cp.threshold), view.matrix[:, j]))
-        pool.append((Literal(cp.indicator, "<=", cp.threshold), view.at_most[:, j]))
-    return pool
+    assert tuple(r.record_id for r, _ in records) == view.record_ids
+    literals, truth = literal_rows(view.cutpoints, [r for r, _ in records])
+    return list(zip(literals, truth))
 
 
 def _reference_enumerate(
-    view: BinaryView, config: MiningConfig, *, prune: bool = True
+    view: BinaryView, records, config: MiningConfig, *, prune: bool = True
 ) -> list[Pattern]:
     """All degree-<=maxDegree conjunctions meeting the prevalence and
     homogeneity floors, in (degree, literal-order) order.
@@ -386,7 +382,7 @@ def _reference_enumerate(
     total_pos = view.n_positives
     if total_pos == 0:
         raise DataFormatError("pattern enumeration needs at least one positive record")
-    pool = _literal_pool(view)
+    pool = _literal_pool(view, records)
     labels = view.labels
 
     accepted: list[Pattern] = []
@@ -428,6 +424,7 @@ def _reference_enumerate(
 def _reference_select_dnf(
     patterns: Sequence[Pattern],
     view: BinaryView,
+    records,
     config: MiningConfig,
     *,
     rating_index: int = 0,
@@ -445,7 +442,7 @@ def _reference_select_dnf(
     labels = view.labels
     total_pos = view.n_positives
     target = config.dnf_coverage_target * total_pos
-    truth = dict(_literal_pool(view))
+    truth = dict(_literal_pool(view, records))
 
     def positive_covers(pool: Sequence[Pattern]) -> list[np.ndarray]:
         covers = []
@@ -487,7 +484,7 @@ def _reference_select_dnf(
         if floor is None:
             break
         relaxations.append(floor)
-        pool = _reference_enumerate(view, replace(config, min_prevalence=floor))
+        pool = _reference_enumerate(view, records, replace(config, min_prevalence=floor))
         covers = positive_covers(pool)
 
     uncovered = tuple(
@@ -511,7 +508,7 @@ CUTS = st.sets(st.integers(0, 5), max_size=2)
 
 def three_indicator_view(rows, g_cuts, ex_cuts, c_cuts):
     """rows: (G, EX, C, label); a cut point at t + 0.5 for each t of a cut
-    set. None when no record is positive."""
+    set. The view and its records, or None when no record is positive."""
     records = []
     for i, (g, ex, c, label) in enumerate(rows):
         cells = (("G", g), ("EX", ex), ("C", c))
@@ -522,7 +519,7 @@ def three_indicator_view(rows, g_cuts, ex_cuts, c_cuts):
     cuts = [CutPoint("C", t + 0.5) for t in sorted(c_cuts)]
     cuts += [CutPoint("EX", t + 0.5) for t in sorted(ex_cuts)]
     cuts += [CutPoint("G", t + 0.5) for t in sorted(g_cuts)]
-    return binarize(records, cuts)
+    return binarize(records, cuts), records
 
 
 @given(
@@ -541,8 +538,8 @@ def test_matches_reference_enumeration_and_selection(
     rows, g_cuts, ex_cuts, c_cuts, max_degree, min_prevalence, min_homogeneity, target,
     schedule,
 ):
-    view = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
-    if view is None:
+    made = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
+    if made is None:
         return
     config = MiningConfig(
         max_degree=max_degree,
@@ -551,7 +548,7 @@ def test_matches_reference_enumeration_and_selection(
         dnf_coverage_target=target,
         relaxation_schedule=schedule,
     )
-    assert_matches_reference(view, config)
+    assert_matches_reference(*made, config)
 
 
 @given(
@@ -568,9 +565,10 @@ def test_lowest_floor_primes_filtered_are_each_floors_primes(
     rows, g_cuts, ex_cuts, c_cuts, max_degree, min_homogeneity, schedule
 ):
     # select_dnf takes every floor's pool from the primes of the lowest one.
-    view = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
-    if view is None:
+    made = three_indicator_view(rows, g_cuts, ex_cuts, c_cuts)
+    if made is None:
         return
+    view, _ = made
     config = MiningConfig(max_degree=max_degree, min_homogeneity=min_homogeneity)
     primes = enumerate_patterns(view, replace(config, min_prevalence=min(schedule)))
     for floor in schedule:
@@ -578,13 +576,13 @@ def test_lowest_floor_primes_filtered_are_each_floors_primes(
         assert [p for p in primes if p.prevalence + _EPS >= floor] == expected
 
 
-def assert_matches_reference(view, config):
+def assert_matches_reference(view, records, config):
     for prune in (True, False):
         assert enumerate_patterns(view, config, prune=prune) == _reference_enumerate(
-            view, config, prune=prune
+            view, records, config, prune=prune
         )
     expected = _reference_select_dnf(
-        _reference_enumerate(view, config), view, config, rating_index=3
+        _reference_enumerate(view, records, config), view, records, config, rating_index=3
     )
     assert select_dnf(view, config, rating_index=3) == expected
 
@@ -621,8 +619,10 @@ RANDOM_VIEW_CONFIGS = [
 def test_random_views_match_reference(config):
     rng = random.Random(11)
     for _ in range(8):
-        view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14)
-        assert_matches_reference(view, config)
+        records, cutpoints = random_records(
+            rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14
+        )
+        assert_matches_reference(binarize(records, cutpoints), records, config)
 
 
 @pytest.mark.parametrize(
@@ -641,10 +641,13 @@ def test_training_stage_views_match_reference(monkeypatch, dataset, widest):
         return select(view, config, **kwargs)
 
     monkeypatch.setattr(cascade_module, "select_dnf", spy)
-    train_cascade(dataset())
+    trained = dataset()
+    train_cascade(trained)
     assert max(len(view.cutpoints) for view, _ in calls) >= widest
+    by_id = {r.record_id: r for r in trained.records}
     for view, config in calls:
-        assert_matches_reference(view, config)
+        records = [(by_id[i], label) for i, label in zip(view.record_ids, view.labels.tolist())]
+        assert_matches_reference(view, records, config)
 
 
 def bits_record(values, country="x"):
@@ -652,11 +655,12 @@ def bits_record(values, country="x"):
 
 
 def bits_view(rows):
-    """rows: ((C, EX, G) values, label); one cut point at 0.5 on each."""
+    """rows: ((C, EX, G) values, label); one cut point at 0.5 on each. The
+    view and its records."""
     records = [
         (bits_record(values, country=f"c{i}"), label) for i, (values, label) in enumerate(rows)
     ]
-    return binarize(records, [CutPoint(code, 0.5) for code in ("C", "EX", "G")])
+    return binarize(records, [CutPoint(code, 0.5) for code in ("C", "EX", "G")]), records
 
 
 @pytest.mark.parametrize(
@@ -680,12 +684,12 @@ def bits_view(rows):
     ],
 )
 def test_pruning_looks_past_the_sub_patterns_one_literal_shorter(rows, min_prevalence):
-    view = bits_view(rows)
+    view, records = bits_view(rows)
     config = MiningConfig(min_prevalence=min_prevalence, min_homogeneity=0.7)
     triple = tuple(Literal(code, ">=", 0.5) for code in ("C", "EX", "G"))
     assert triple in {p.literals for p in enumerate_patterns(view, config, prune=False)}
     assert triple not in {p.literals for p in enumerate_patterns(view, config)}
-    assert_matches_reference(view, config)
+    assert_matches_reference(view, records, config)
 
 
 def test_equal_gains_go_to_homogeneity_before_degree():
@@ -693,7 +697,7 @@ def test_equal_gains_go_to_homogeneity_before_degree():
     # at 1.0, and neither EX nor G alone reaches the homogeneity floor.
     rows = [((1, 1, 1), True)] * 3
     rows += [((1, 1, 0), False), ((0, 0, 1), False), ((0, 1, 0), False), ((0, 0, 1), False)]
-    view = bits_view(rows)
+    view, records = bits_view(rows)
     config = MiningConfig(
         max_degree=2, min_prevalence=1.0, min_homogeneity=0.7, relaxation_schedule=()
     )
@@ -701,7 +705,7 @@ def test_equal_gains_go_to_homogeneity_before_degree():
     assert [p.literals for p in dnf.patterns] == [
         (Literal("EX", ">=", 0.5), Literal("G", ">=", 0.5))
     ]
-    assert_matches_reference(view, config)
+    assert_matches_reference(view, records, config)
 
 
 def test_second_pick_uses_the_recounted_gain():
@@ -710,14 +714,14 @@ def test_second_pick_uses_the_recounted_gain():
     # and G three, so G goes second and EX is never needed.
     rows = [((1, 1, 0), True)] * 3 + [((1, 0, 0), True)] * 2
     rows += [((0, 1, 1), True)] + [((0, 0, 1), True)] * 2 + [((0, 0, 0), False)]
-    view = bits_view(rows)
+    view, records = bits_view(rows)
     config = MiningConfig(min_prevalence=0.3, relaxation_schedule=())
     primes = [p.literals for p in enumerate_patterns(view, config)]
     assert primes == [(Literal(code, ">=", 0.5),) for code in ("C", "EX", "G")]
     dnf = select_dnf(view, config)
     assert [p.literals for p in dnf.patterns] == [primes[0], primes[2]]
     assert dnf.uncovered == ()
-    assert_matches_reference(view, config)
+    assert_matches_reference(view, records, config)
 
 
 @pytest.mark.parametrize(
@@ -756,7 +760,7 @@ def test_equal_gains_after_a_relaxation_go_to_homogeneity_degree_then_order(
 ):
     # One pick at the 0.5 floor leaves one positive, which only patterns
     # joining at the relaxed floor reach, each with gain 1.
-    view = bits_view(rows)
+    view, records = bits_view(rows)
     config = MiningConfig(
         max_degree=2, min_prevalence=0.5, min_homogeneity=min_homogeneity,
         relaxation_schedule=(0.0,),
@@ -766,12 +770,12 @@ def test_equal_gains_after_a_relaxation_go_to_homogeneity_degree_then_order(
     assert dnf.uncovered == ()
     assert len(dnf.patterns) == 2 and dnf.patterns[1].literals == winner
     relaxed = {p.literals: p for p in enumerate_patterns(view, replace(config, min_prevalence=0.0))}
-    records = [bits_record(values) for values, label in rows if label]
-    left = [r for r in records if not dnf.patterns[0].matches(r)]
+    positives = [r for r, label in records if label]
+    left = [r for r in positives if not dnf.patterns[0].matches(r)]
     assert len(left) == 1
     for literals in (winner, runner_up):
         assert relaxed[literals].matches(left[0]) and relaxed[literals].prevalence < 0.5
-    assert_matches_reference(view, config)
+    assert_matches_reference(view, records, config)
 
 
 def test_many_cuts_on_one_indicator_match_reference():
@@ -780,25 +784,28 @@ def test_many_cuts_on_one_indicator_match_reference():
     cuts = {"G": [t + 0.5 for t in range(12)], "EX": [0.5, 1.5]}
     config = MiningConfig(min_prevalence=0.1, min_homogeneity=0.75)
     for n_records in (12, 20, 30):
-        view = random_view(rng, cuts, n_records)
+        records, cutpoints = random_records(rng, cuts, n_records)
+        view = binarize(records, cutpoints)
         groups = [(cp.indicator, d) for cp in view.cutpoints for d in (">=", "<=")]
         combos = list(itertools.combinations(groups, config.max_degree))
         repeated = sum(1 for combo in combos if len(set(combo)) < len(combo))
         assert repeated > 0.75 * len(combos)
-        assert_matches_reference(view, config)
+        assert_matches_reference(view, records, config)
         assert any(p.degree > 1 for p in enumerate_patterns(view, config, prune=False))
 
 
-def trace_extensions(monkeypatch) -> list[tuple[Literal, ...]]:
-    """Make enumeration record each conjunction it extends, as its literals.
+def trace_extensions(monkeypatch, views) -> list[tuple[Literal, ...]]:
+    """Make enumeration over `views` record each conjunction it extends, as
+    its literals.
 
     Enumeration ANDs a conjunction's cover with one literal's truth row to
-    extend it; here the rows of `_literal_table` become int subclasses that
-    log the left operand's literals on each such AND. The empty
-    conjunction's cover is a plain int: extending it logs nothing.
+    extend it; here the rows `_bit_rows` packs from a view's `truth` become
+    int subclasses that log the left operand's literals on each such AND.
+    The empty conjunction's cover is a plain int: extending it logs nothing.
     """
     extended: list[tuple[Literal, ...]] = []
-    literal_table = patterns_module._literal_table
+    bit_rows = patterns_module._bit_rows
+    literals = {id(view.truth): view.literals for view in views}
 
     class Cover(int):
         def __and__(self, other):
@@ -815,11 +822,13 @@ def trace_extensions(monkeypatch) -> list[tuple[Literal, ...]]:
         cover.literals = literals
         return cover
 
-    def table(view):
-        keys, rows, positives = literal_table(view)
-        return keys, [traced(r, (Literal(*k),)) for k, r in zip(keys, rows)], positives
+    def rows(bits):
+        packed = bit_rows(bits)
+        if id(bits) not in literals:
+            return packed  # the positives
+        return [traced(row, (lit,)) for lit, row in zip(literals[id(bits)], packed)]
 
-    monkeypatch.setattr(patterns_module, "_literal_table", table)
+    monkeypatch.setattr(patterns_module, "_bit_rows", rows)
     return extended
 
 
@@ -833,7 +842,7 @@ def test_patterns_are_not_extended_when_pruning(monkeypatch):
         for _ in range(8)
     ]
     expected = [enumerate_patterns(view, config) for view in views]
-    extended = trace_extensions(monkeypatch)
+    extended = trace_extensions(monkeypatch, views)
     extended_patterns = pruned_prefixes = 0
     for view, primes in zip(views, expected):
         extended.clear()
@@ -856,7 +865,7 @@ def test_max_degree_is_capped_at_the_literal_groups(monkeypatch):
     six = MiningConfig(max_degree=6, min_prevalence=0.0, min_homogeneity=0.5)
     huge = replace(six, max_degree=10_000)
     assert max(p.degree for p in enumerate_patterns(view, six, prune=False)) == 6
-    extended = trace_extensions(monkeypatch)
+    extended = trace_extensions(monkeypatch, [view])
     for prune in (True, False):
         extended.clear()
         at_six = enumerate_patterns(view, six, prune=prune)
@@ -917,20 +926,22 @@ def test_cover_takes_no_part_in_equality_hash_or_repr():
     assert Pattern(literals=mined[0].literals).cover is None
 
 
-def test_select_dnf_builds_one_literal_table(monkeypatch):
+def test_select_dnf_packs_the_truth_rows_once(monkeypatch):
     # Selection reads each prime's cover from enumeration, so it packs the
-    # view only through enumeration's own `_literal_table` call.
+    # view's truth rows only through enumeration's own `_bit_rows` call.
     calls = []
-    literal_table = patterns_module._literal_table
+    bit_rows = patterns_module._bit_rows
 
-    def counted(view):
-        calls.append(view)
-        return literal_table(view)
+    def counted(bits):
+        calls.append(bits)
+        return bit_rows(bits)
 
-    monkeypatch.setattr(patterns_module, "_literal_table", counted)
+    monkeypatch.setattr(patterns_module, "_bit_rows", counted)
     rng = random.Random(17)
     for config in RANDOM_VIEW_CONFIGS:
         view = random_view(rng, {"C": [0.5, 1.5], "EX": [0.5], "G": [0.5, 1.5, 2.5]}, 14)
         calls.clear()
         select_dnf(view, config)
-        assert len(calls) == 1 and calls[0] is view
+        assert sum(bits is view.truth for bits in calls) == 1
+        # Every other call packs one row: the labels.
+        assert all(bits is view.truth or bits.shape == (1, 14) for bits in calls)
